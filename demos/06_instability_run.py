@@ -10,10 +10,13 @@ pigeonhole optimum.
 
 import numpy as np
 
-from expinstab.engine import EngineConfig, run_instability
+from expinstab.engine import ExperimentConfig, run_instability
 
-cfg = EngineConfig(problem="dtn", m=1, beta=1.0, n_max=24, quad_nodes=256)
-report = run_instability("dtn", (0.12, 0.08, 0.05, 0.03), 40, seed=7, config=cfg)
+cfg = ExperimentConfig(
+    problem="dtn", m=1, beta=1.0, n_max=24, quad_nodes=256,
+    eps_list=(0.12, 0.08, 0.05, 0.03), budget=40, seed=7,
+)
+report = run_instability(cfg)
 
 print("per-eps witness pairs (empirical minimum over a 40-shape budget):")
 for rec in report.records:

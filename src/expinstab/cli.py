@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,122 +27,44 @@ from expinstab.conductivity import (
     dtn_numeric,
     resistance_matrix,
 )
-from expinstab.engine import EngineConfig, InstabilityReport, run_instability
+from expinstab.engine import ConfigError, ExperimentConfig, InstabilityReport, run_instability
 from expinstab.opnet import NetParams, net_size_log_bound
-from expinstab.scattering import ObstacleProblem, ScatteringError, farfield_numeric
+from expinstab.scattering import ObstacleProblem, ScatteringError, farfield_numeric, farfield_operator
 from expinstab.shapes import load_shape
 
-
-class ConfigError(ValueError):
-    """Invalid configuration input."""
+KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    problem: str = "dtn"
-    kind: str = shapes.RADIAL_SUBGRAPH
-    m: int = 1
-    beta: float = 1.0
-    eps_list: tuple[float, ...] = (0.12, 0.08, 0.05, 0.03)
-    a: float = 2.0
-    a_list: tuple[float, ...] = (1.0, 4.0)
-    n_max: int = 32
-    quad_nodes: int = 512
-    scatter_n_max: int = 12
-    scatter_quad: int = 192
-    directions: int = 48
-    budget: int = 200
-    samples: int = 50
-    seed: int = 0
-    base_radius: float = 0.5
-    grid_size: int = 2048
-    electrodes: int = 8
-    electrode_coverage: float = 0.5
-    electrode_z: float = 0.1
-    delta: tuple[float, ...] = (0.01,)
-    c2: float = 1.0
-    alpha2: float = 0.5
-    p: float = 1.0
-    domain: str = spectral.FULL_CIRCLE
-    r0: float = 0.8
-    threads: int = 1
-    out: str = ""
+def _parse_value(key: str, raw: str):
+    """A config value from its text, typed like the key's default; a tuple
+    is comma-separated floats (an empty text is the empty tuple)."""
+    default = getattr(ExperimentConfig, key)
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in raw.split(",")) if raw else ()
+    return type(default)(raw)
 
 
-_FLOAT_TUPLES = {"eps_list", "a_list", "delta"}
-_STR_KEYS = {"problem", "kind", "domain", "out"}
+def _dashed(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _parse_value(key: str, raw: str, template: ExperimentConfig):
-    if key in _FLOAT_TUPLES:
-        return tuple(float(v) for v in raw.split(",") if v.strip())
-    current = getattr(template, key)
-    if key in _STR_KEYS:
-        return raw
-    if isinstance(current, int):
-        return int(raw)
-    return float(raw)
+def _build_config(settings: dict[str, tuple[str, str]]) -> ExperimentConfig:
+    """Config from ``key -> (raw value, where it was set)``; every error
+    names the key and where it was set."""
+    values = {}
+    for key, (raw, where) in settings.items():
+        try:
+            values[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}", key) from exc
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} ({settings[exc.key][1]})", exc.key) from None
 
 
-def _validate(cfg: ExperimentConfig, line_for_key: dict[str, int] | None = None) -> None:
-    def fail(key: str, msg: str):
-        line = (line_for_key or {}).get(key)
-        where = f" (line {line})" if line else ""
-        raise ConfigError(f"{key}: {msg}{where}")
-
-    if cfg.problem not in ("dtn", "ntd", "electrodes", "farfield"):
-        fail("problem", f"unknown problem {cfg.problem!r}")
-    if cfg.kind not in shapes.KINDS:
-        fail("kind", f"unknown shape kind {cfg.kind!r}")
-    if cfg.domain not in spectral.DOMAIN_KINDS:
-        fail("domain", f"unknown domain {cfg.domain!r}")
-    if cfg.m < 1:
-        fail("m", "smoothness order must be >= 1")
-    if cfg.beta <= 0:
-        fail("beta", "norm bound must be positive")
-    if not cfg.eps_list or any(not 0 < e < 1 for e in cfg.eps_list):
-        fail("eps_list", "eps values must lie in (0, 1)")
-    if cfg.a <= 0:
-        fail("a", "contrast must be positive")
-    if not cfg.a_list or any(v <= 0 for v in cfg.a_list):
-        fail("a_list", "wave parameters must be positive")
-    if cfg.n_max < 1 or cfg.scatter_n_max < 1:
-        fail("n_max", "mode counts must be >= 1")
-    if cfg.quad_nodes < 32 or cfg.scatter_quad < 32 or cfg.scatter_quad % 2:
-        fail("quad_nodes", "quadrature nodes must be >= 32 (scatter: even)")
-    if cfg.directions < 4 or cfg.directions % 2:
-        fail("directions", "direction count must be even and >= 4")
-    if cfg.budget < 2:
-        fail("budget", "budget must be >= 2")
-    if cfg.samples < 1:
-        fail("samples", "samples must be >= 1")
-    if cfg.base_radius <= 0:
-        fail("base_radius", "base radius must be positive")
-    if cfg.grid_size < 64:
-        fail("grid_size", "grid size must be >= 64")
-    if cfg.electrodes < 2:
-        fail("electrodes", "need at least two electrodes")
-    if not 0 < cfg.electrode_coverage < 1:
-        fail("electrode_coverage", "coverage must lie in (0, 1)")
-    if cfg.electrode_z <= 0:
-        fail("electrode_z", "impedance must be positive")
-    if any(not 0 < d < 1 / math.e for d in cfg.delta):
-        fail("delta", "delta values must lie in (0, 1/e)")
-    if cfg.c2 <= 0 or cfg.alpha2 <= 0 or cfg.p <= 0:
-        fail("c2", "class constants must be positive")
-    if not 0 < cfg.r0 < 1:
-        fail("r0", "r0 must lie in (0, 1)")
-    if cfg.threads < 1:
-        fail("threads", "threads must be >= 1")
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse key=value lines with '#' comments; unknown keys are rejected
-    with their line number; defaults fill everything else."""
-    template = ExperimentConfig()
-    known = {f.name for f in fields(ExperimentConfig)}
-    updates: dict[str, object] = {}
-    line_for_key: dict[str, int] = {}
+def _read_settings(text: str) -> dict[str, tuple[str, str]]:
+    settings = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -150,17 +72,17 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw_line!r}")
         key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in known:
+        key = key.strip()
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            updates[key] = _parse_value(key, raw, template)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        line_for_key[key] = lineno
-    cfg = replace(template, **updates)
-    _validate(cfg, line_for_key)
-    return cfg
+        settings[key] = (raw.strip(), f"line {lineno}")
+    return settings
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse key=value lines with '#' comments; unknown keys and bad values
+    are rejected with their line number; defaults fill everything else."""
+    return _build_config(_read_settings(text))
 
 
 def format_value(value) -> str:
@@ -296,7 +218,10 @@ def _cmd_net(cfg: ExperimentConfig) -> list[tuple]:
     rows = []
     for delta in cfg.delta:
         params = NetParams.for_delta(delta, cfg.c2, cfg.alpha2, cfg.p)
-        bound = net_size_log_bound(delta, cfg.c2, cfg.alpha2, cfg.p)
+        # every basis element of degree <= n_tilde on the domain, counted exactly
+        basis = spectral.enumerate_basis(spectral.BasisSpec(cfg.domain, n_max=params.n_tilde))
+        degrees = np.array([e.degree for e in basis])
+        bound = net_size_log_bound(delta, cfg.c2, cfg.alpha2, cfg.p, degrees=degrees)
         rows.append(
             (
                 delta,
@@ -323,8 +248,6 @@ def _run_forward(cfg: ExperimentConfig, shape_file: str):
 
 
 def _run_scatter(cfg: ExperimentConfig, shape_file: str):
-    from expinstab.scattering import farfield_operator
-
     shape = load_shape(shape_file)
     prob = ObstacleProblem(
         shape, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions
@@ -341,131 +264,51 @@ def _run_scatter(cfg: ExperimentConfig, shape_file: str):
     return mag_rows, meta_rows
 
 
-def _cmd_instability(cfg: ExperimentConfig) -> InstabilityReport:
-    engine_cfg = EngineConfig(
-        problem=cfg.problem,
-        m=cfg.m,
-        beta=cfg.beta,
-        contrast=cfg.a,
-        wave_params=cfg.a_list,
-        n_max=cfg.n_max,
-        quad_nodes=cfg.quad_nodes,
-        scatter_n_max=cfg.scatter_n_max,
-        scatter_quad=cfg.scatter_quad,
-        direction_count=cfg.directions,
-        electrode_count=cfg.electrodes,
-        electrode_coverage=cfg.electrode_coverage,
-        electrode_impedance=cfg.electrode_z,
-        grid_size=cfg.grid_size,
-    )
-    return run_instability(cfg.problem, cfg.eps_list, cfg.budget, cfg.seed, engine_cfg)
-
-
-def _load_cli_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.config:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        cfg = ExperimentConfig()
-    overrides: dict[str, object] = {}
-    for key in (
-        "problem",
-        "kind",
-        "m",
-        "beta",
-        "a",
-        "n_max",
-        "budget",
-        "samples",
-        "seed",
-        "out",
-        "threads",
-        "domain",
-        "r0",
-        "c2",
-        "alpha2",
-        "p",
-        "quad_nodes",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for key in ("eps_list", "a_list", "delta"):
-        raw = getattr(args, key, None)
-        if raw is not None:
-            overrides[key] = tuple(float(v) for v in raw.split(","))
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    _validate(cfg)
-    return cfg
+SUBCOMMANDS = {
+    "pack": "build a packing family and sample it",
+    "basis": "degree tables and decay curves",
+    "net": "net parameters and size bounds",
+    "forward": "DtN and electrode forward maps",
+    "scatter": "far-field matrices",
+    "instability": "end-to-end instability run",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per config key, accepted before and after the subcommand; a
+    flag given after the subcommand wins."""
+    settings = argparse.ArgumentParser(add_help=False)
+    for f in fields(ExperimentConfig):
+        settings.add_argument(_dashed(f.name), dest=f.name, default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(
         prog="expinstab",
         description="Exponential-instability experiments for 2D elliptic inverse problems",
+        parents=[settings],
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_pack = sub.add_parser("pack", help="build a packing family and sample it")
-    p_pack.add_argument("--kind", default=None)
-    p_pack.add_argument("--m", type=int, default=None)
-    p_pack.add_argument("--beta", type=float, default=None)
-    p_pack.add_argument("--eps", dest="eps_list", default=None)
-    p_pack.add_argument("--samples", type=int, default=None)
-
-    p_basis = sub.add_parser("basis", help="degree tables and decay curves")
-    p_basis.add_argument("--domain", default=None)
-    p_basis.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_basis.add_argument("--r0", type=float, default=None)
-
-    p_net = sub.add_parser("net", help="net parameters and size bounds")
-    p_net.add_argument("--delta", default=None)
-    p_net.add_argument("--C2", dest="c2", type=float, default=None)
-    p_net.add_argument("--alpha2", type=float, default=None)
-    p_net.add_argument("--p", type=float, default=None)
-
-    p_fwd = sub.add_parser("forward", help="DtN and electrode forward maps")
-    p_fwd.add_argument("--shape-file", required=True)
-    p_fwd.add_argument("--a", type=float, default=None)
-    p_fwd.add_argument("--nmax", dest="n_max", type=int, default=None)
-    p_fwd.add_argument("--electrodes", type=int, default=None)
-
-    p_sc = sub.add_parser("scatter", help="far-field matrices")
-    p_sc.add_argument("--shape-file", required=True)
-    p_sc.add_argument("--a-list", dest="a_list", default=None)
-    p_sc.add_argument("--nmax", dest="scatter_n_max_flag", type=int, default=None)
-    p_sc.add_argument("--quad", dest="scatter_quad_flag", type=int, default=None)
-
-    p_inst = sub.add_parser("instability", help="end-to-end instability run")
-    p_inst.add_argument("--problem", default=None)
-    p_inst.add_argument("--eps-list", dest="eps_list", default=None)
-    p_inst.add_argument("--budget", dest="budget", type=int, default=None)
-
+    for name, text in SUBCOMMANDS.items():
+        p_sub = sub.add_parser(name, help=text, parents=[settings], allow_abbrev=False)
+        if name in ("forward", "scatter"):
+            p_sub.add_argument("--shape-file", required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_cli_config(args)
-        if getattr(args, "electrodes", None) is not None:
-            cfg = replace(cfg, electrodes=args.electrodes)
-        if getattr(args, "scatter_n_max_flag", None) is not None:
-            cfg = replace(cfg, scatter_n_max=args.scatter_n_max_flag)
-        if getattr(args, "scatter_quad_flag", None) is not None:
-            cfg = replace(cfg, scatter_quad=args.scatter_quad_flag)
-        _validate(cfg)
+        settings = _read_settings(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+        for key in KEYS:
+            if hasattr(args, key):
+                settings[key] = (getattr(args, key), f"flag {_dashed(key)}")
+        cfg = _build_config(settings)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out = _out_dir(cfg)
     try:
+        out = _out_dir(cfg)
         if args.command == "pack":
             rows = _cmd_pack(cfg)
             _write_or_print(out, "pack.csv", ["pattern_id", "hausdorff_to_base", "min_pairwise_sampled"], rows)
@@ -494,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
                 out, "reciprocity.csv", ["a", "residual", "c2_hat", "alpha2_hat"], meta_rows
             )
         elif args.command == "instability":
-            report = _cmd_instability(cfg)
+            report = run_instability(cfg)
             if out is None:
                 raise ConfigError("instability requires --out")
             emit_report_csv(out / "report.csv", report)

@@ -172,7 +172,7 @@ def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
     quadrature error.
     """
     n_max = prob.n_max
-    base = np.diag(np.concatenate([[0.0], np.repeat(np.arange(1, n_max + 1, dtype=float), 2)]))
+    base = np.diag(fourier_degrees(n_max))
     if prob.contrast == 1.0:
         return base
     geo = _interface_geometry(prob)
@@ -197,8 +197,7 @@ def delta_dtn_weighted(prob: InclusionProblem, p: float = 1.0) -> OperatorMatrix
     n_max = prob.n_max
     degrees = fourier_degrees(n_max)
     full = dtn_numeric(prob)
-    lam0 = np.diag(np.concatenate([[0.0], np.repeat(np.arange(1, n_max + 1, dtype=float), 2)]))
-    delta = full - lam0
+    delta = full - np.diag(degrees)
     weights = 1.0 / np.sqrt(1.0 + degrees)
     entries = delta * np.outer(weights, weights)
     fit = fit_envelope(entries, degrees)
@@ -235,11 +234,12 @@ def fit_envelope(entries: np.ndarray, degrees: np.ndarray) -> EnvelopeFit:
             levels.append(n)
     levels_arr, mags_arr = np.array(levels, dtype=float), np.array(mags, dtype=float)
     if len(mags) < 2:
-        c2 = max(float(np.max(np.abs(entries))), 1e-300)
-        return EnvelopeFit(c2, 1.0, levels_arr, mags_arr)
-    slope, _ = np.polyfit(levels_arr, np.log(mags_arr), 1)
-    fit = EnvelopeFit(0.0, float(max(-slope, 1e-12)), levels_arr, mags_arr)
-    return replace(fit, c2=fit.c2_at(fit.alpha2))
+        alpha2 = 1.0  # no decay to regress on
+    else:
+        slope, _ = np.polyfit(levels_arr, np.log(mags_arr), 1)
+        alpha2 = float(max(-slope, 1e-12))
+    fit = EnvelopeFit(0.0, alpha2, levels_arr, mags_arr)
+    return replace(fit, c2=fit.c2_at(alpha2))
 
 
 def diagonal_decay_fit(matrix: OperatorMatrix) -> tuple[float, float, float]:

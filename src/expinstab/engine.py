@@ -22,6 +22,11 @@ factors through.
 With these exact counts the pigeonhole margin is negative (about -1e3) on
 the dtn grid eps in {0.12, ..., 0.03} at n_max = 32; the class constants of
 that run put the crossover eps* near 5e-7.
+
+A run is described by one ``ExperimentConfig``, the same settings the CLI
+reads from config files and flags::
+
+    report = run_instability(ExperimentConfig(problem="ntd", eps_list=(0.1, 0.06), budget=40))
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from expinstab import shapes
+from expinstab import shapes, spectral
 from expinstab.conductivity import (
     ElectrodeConfig,
     InclusionProblem,
@@ -44,37 +49,99 @@ from expinstab.conductivity import (
 )
 from expinstab.opnet import counting_check, delta_of_epsilon, net_size_log_bound
 from expinstab.packing import ShapeClass, build_packing, packing_lower_bound
-from expinstab.scattering import ObstacleProblem, circle_degrees, farfield_numeric
+from expinstab.scattering import ObstacleProblem, farfield_numeric
 from expinstab.shapes import Shape, hausdorff_distance, hausdorff_resolution
 
 PROBLEMS = ("dtn", "ntd", "electrodes", "farfield")
 
 NORM_FLOOR = 1e-300
 
+# boundary samples behind the witness pair's Hausdorff distance and resolution
+DISTANCE_SAMPLES = 512
+
+
+class ConfigError(ValueError):
+    """Invalid configuration input; ``key`` names the setting at fault."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
+
+
+# key -> (test of its value, the rule it states)
+_RULES = {
+    "problem": (lambda v: v in PROBLEMS, f"must be one of {PROBLEMS}"),
+    "kind": (lambda v: v in shapes.KINDS, f"must be one of {shapes.KINDS}"),
+    "m": (lambda v: v >= 1, "smoothness order must be >= 1"),
+    "beta": (lambda v: v > 0, "norm bound must be positive"),
+    "eps_list": (lambda v: v and all(0 < e < 1 for e in v), "eps values must lie in (0, 1)"),
+    "a": (lambda v: v > 0, "contrast must be positive"),
+    "a_list": (lambda v: v and all(x > 0 for x in v), "wave parameters must be positive"),
+    "n_max": (lambda v: v >= 1, "mode count must be >= 1"),
+    "quad_nodes": (lambda v: v >= 32, "quadrature nodes must be >= 32"),
+    "scatter_n_max": (lambda v: v >= 1, "mode count must be >= 1"),
+    "scatter_quad": (lambda v: v >= 32 and v % 2 == 0, "quadrature nodes must be even and >= 32"),
+    "directions": (lambda v: v >= 4 and v % 2 == 0, "direction count must be even and >= 4"),
+    "budget": (lambda v: v >= 2, "budget must be >= 2"),
+    "samples": (lambda v: v >= 1, "samples must be >= 1"),
+    "seed": (lambda v: v >= 0, "seed must be >= 0"),
+    "base_radius": (lambda v: v > 0, "base radius must be positive"),
+    "grid_size": (lambda v: v >= 64, "grid size must be >= 64"),
+    "electrodes": (lambda v: v >= 2, "need at least two electrodes"),
+    "electrode_coverage": (lambda v: 0 < v < 1, "coverage must lie in (0, 1)"),
+    "electrode_z": (lambda v: v > 0, "impedance must be positive"),
+    "delta": (lambda v: all(0 < d < 1 / math.e for d in v), "delta values must lie in (0, 1/e)"),
+    "c2": (lambda v: v > 0, "class constant must be positive"),
+    "alpha2": (lambda v: v > 0, "class constant must be positive"),
+    "p": (lambda v: v > 0, "class constant must be positive"),
+    "domain": (lambda v: v in spectral.DOMAIN_KINDS, f"must be one of {spectral.DOMAIN_KINDS}"),
+    "r0": (lambda v: 0 < v < 1, "r0 must lie in (0, 1)"),
+}
+
 
 @dataclass(frozen=True)
-class EngineConfig:
-    """Physics and solver knobs shared by all problems."""
+class ExperimentConfig:
+    """Every setting of an experiment, validated on construction.
+
+    The field names are the config-file keys; each is also a CLI flag with
+    dashes for underscores.  ``kind`` and ``base_radius`` are read only by
+    the ``pack`` subcommand: instability runs use radial subgraphs about the
+    base disk of their problem (see ``shape_class``).
+    """
 
     problem: str = "dtn"
+    kind: str = shapes.RADIAL_SUBGRAPH
     m: int = 1
     beta: float = 1.0
-    contrast: float = 2.0
-    wave_params: tuple[float, ...] = (1.0, 4.0)
+    eps_list: tuple[float, ...] = (0.12, 0.08, 0.05, 0.03)
+    a: float = 2.0
+    a_list: tuple[float, ...] = (1.0, 4.0)
     n_max: int = 32
     quad_nodes: int = 512
     scatter_n_max: int = 12
     scatter_quad: int = 192
-    direction_count: int = 48
-    electrode_count: int = 8
-    electrode_coverage: float = 0.5
-    electrode_impedance: float = 0.1
+    directions: int = 48
+    budget: int = 200
+    samples: int = 50
+    seed: int = 0
+    base_radius: float = 0.5
     grid_size: int = 2048
-    distance_samples: int = 512
+    electrodes: int = 8
+    electrode_coverage: float = 0.5
+    electrode_z: float = 0.1
+    delta: tuple[float, ...] = (0.01,)
+    c2: float = 1.0
+    alpha2: float = 0.5
+    p: float = 1.0
+    domain: str = spectral.FULL_CIRCLE
+    r0: float = 0.8
+    out: str = ""
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}")
+        for key, (ok, rule) in _RULES.items():
+            value = getattr(self, key)
+            if not ok(value):
+                raise ConfigError(f"{key}: {rule}, got {value!r}", key)
 
     def shape_class(self) -> ShapeClass:
         base = 1.0 if self.problem == "farfield" else 0.5
@@ -94,16 +161,14 @@ class _ForwardResult:
     class_degrees: np.ndarray
 
 
-def _make_forward(cfg: EngineConfig, electrode_cfg: ElectrodeConfig | None):
+def _make_forward(cfg: ExperimentConfig):
     if cfg.problem in ("dtn", "ntd", "electrodes"):
         mean_zero_degrees = fourier_degrees(cfg.n_max)[1:]
-        ecfg = electrode_cfg or ElectrodeConfig.equispaced(
-            cfg.electrode_count, cfg.electrode_coverage, cfg.electrode_impedance
-        )
+        ecfg = ElectrodeConfig.equispaced(cfg.electrodes, cfg.electrode_coverage, cfg.electrode_z)
         ntd_base = np.diag(1.0 / mean_zero_degrees)
 
         def forward(shape: Shape) -> _ForwardResult:
-            prob = InclusionProblem(shape, cfg.contrast, cfg.n_max, cfg.quad_nodes)
+            prob = InclusionProblem(shape, cfg.a, cfg.n_max, cfg.quad_nodes)
             if cfg.problem == "dtn":
                 op = delta_dtn_weighted(prob)
                 return _ForwardResult(op.entries, op.entries, op.degrees)
@@ -119,14 +184,12 @@ def _make_forward(cfg: EngineConfig, electrode_cfg: ElectrodeConfig | None):
 
         return forward, dist
 
-    degrees = circle_degrees(cfg.scatter_n_max)
+    degrees = fourier_degrees(cfg.scatter_n_max)
 
     def forward(shape: Shape) -> _ForwardResult:
-        prob = ObstacleProblem(
-            shape, cfg.wave_params, cfg.scatter_n_max, cfg.scatter_quad, cfg.direction_count
-        )
+        prob = ObstacleProblem(shape, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions)
         fields = farfield_numeric(prob)
-        stacked = np.stack([fields[a].entries for a in cfg.wave_params])
+        stacked = np.stack([fields[a].entries for a in cfg.a_list])
         return _ForwardResult(stacked, np.abs(stacked).max(axis=0), degrees)
 
     def dist(f1: _ForwardResult, f2: _ForwardResult) -> float:
@@ -183,41 +246,30 @@ def _min_norm_pair(results: list[_ForwardResult], dist) -> tuple[int, int, float
     return best
 
 
-def run_instability(
-    problem: str,
-    eps_list,
-    sample_budget: int,
-    seed: int,
-    config: EngineConfig | None = None,
-    electrode_cfg: ElectrodeConfig | None = None,
-) -> InstabilityReport:
-    """For each eps, draw <= budget patterns of the packing family, compute
-    the forward maps, and record the pair minimizing the measurement-space
-    distance.  Deterministic: identical (arguments, seed) -> identical report.
+def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
+    """For each eps of ``cfg.eps_list``, draw <= ``cfg.budget`` patterns of
+    the packing family, compute the forward maps, and record the pair
+    minimizing the measurement-space distance.  Deterministic: identical
+    configs (seed included) give identical reports.
     """
-    if sample_budget < 2:
-        raise ValueError("sample budget must be >= 2")
-    cfg = config or EngineConfig(problem=problem)
-    if cfg.problem != problem:
-        cfg = replace(cfg, problem=problem)
-    forward, dist = _make_forward(cfg, electrode_cfg)
+    forward, dist = _make_forward(cfg)
     cls = cfg.shape_class()
     records = []
     fits = []
     class_alpha2 = math.inf
     eps0 = math.nan
-    for index, eps in enumerate(eps_list):
+    for index, eps in enumerate(cfg.eps_list):
         family = build_packing(cls, float(eps))
         eps0 = family.eps0
-        rng = np.random.default_rng([seed, index])
-        patterns = family.sample_patterns(rng, sample_budget)
+        rng = np.random.default_rng([cfg.seed, index])
+        patterns = family.sample_patterns(rng, cfg.budget)
         built = [family.shape(p) for p in patterns]
         results = [forward(s) for s in built]
         i, j, best = _min_norm_pair(results, dist)
         floored = best < NORM_FLOOR
         best = max(best, NORM_FLOOR)
-        d_h = hausdorff_distance(built[i], built[j], samples=cfg.distance_samples)
-        res = hausdorff_resolution(built[i], built[j], samples=cfg.distance_samples)
+        d_h = hausdorff_distance(built[i], built[j], samples=DISTANCE_SAMPLES)
+        res = hausdorff_resolution(built[i], built[j], samples=DISTANCE_SAMPLES)
         eps_fits = [fit_envelope(np.abs(r.class_entries), r.class_degrees) for r in results]
         alpha2 = min(f.alpha2 for f in eps_fits)
         c2 = max(f.c2_at(alpha2) for f in eps_fits)
@@ -254,11 +306,11 @@ def run_instability(
             )
         )
     report = InstabilityReport(
-        problem=problem,
+        problem=cfg.problem,
         m=cfg.m,
         beta=cfg.beta,
-        seed=seed,
-        budget=sample_budget,
+        seed=cfg.seed,
+        budget=cfg.budget,
         records=tuple(records),
         theoretical_exponent=1.0 / (4.0 * cfg.m),
         class_c2=max((f.c2_at(class_alpha2) for f in fits), default=0.0),

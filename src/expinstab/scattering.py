@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from expinstab import shapes, special
-from expinstab.conductivity import fit_envelope
+from expinstab.conductivity import fit_envelope, fourier_degrees
 from expinstab.opnet import OperatorMatrix
 from expinstab.shapes import RadialProfile, Shape
 from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
@@ -75,10 +75,6 @@ def farfield_l2_norm(matrix: FarFieldMatrix) -> float:
     return float(np.sqrt(np.sum(np.abs(matrix.entries) ** 2)))
 
 
-def circle_degrees(n_max: int) -> np.ndarray:
-    return np.array([e.degree for e in enumerate_basis(BasisSpec(FULL_CIRCLE, n_max=n_max))])
-
-
 def disk_mode_coefficients(radius: float, a: float, n_max: int) -> np.ndarray:
     """Scattered-mode coefficients -J_n(k R)/H_n^(1)(k R), n = 0..n_max."""
     k = math.sqrt(a)
@@ -98,7 +94,7 @@ def farfield_disk(radius: float, a: float, n_max: int) -> FarFieldMatrix:
     k = math.sqrt(a)
     c = disk_mode_coefficients(radius, a, n_max)
     front = math.sqrt(2.0 / (math.pi * k)) * np.exp(-1j * math.pi / 4.0)
-    degrees = circle_degrees(n_max)
+    degrees = fourier_degrees(n_max)
     diag = np.empty(degrees.size, dtype=complex)
     diag[0] = 2.0 * math.pi * front * c[0]
     for j in range(1, n_max + 1):
@@ -298,7 +294,7 @@ def farfield_numeric(prob: ObstacleProblem, a: float | None = None) -> dict[floa
     Reduces to farfield_disk for constant profiles.
     """
     params = (a,) if a is not None else prob.wave_params
-    degrees = circle_degrees(prob.n_max)
+    degrees = fourier_degrees(prob.n_max)
     out: dict[float, FarFieldMatrix] = {}
     for wave in params:
         sol = solve_scattering(prob.shape, wave, prob.quad_nodes, prob.direction_count)

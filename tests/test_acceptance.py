@@ -28,7 +28,7 @@ from expinstab.conductivity import (
     ntd_from_dtn,
     resistance_matrix,
 )
-from expinstab.engine import EngineConfig, run_instability
+from expinstab.engine import ExperimentConfig, run_instability
 from expinstab.opnet import (
     NetParams,
     c4_constant,
@@ -320,8 +320,10 @@ EPS_GRID = (0.12, 0.08, 0.05, 0.03)
 
 @pytest.fixture(scope="module")
 def dtn_report():
-    cfg = EngineConfig(problem="dtn", m=1, beta=1.0, n_max=32, quad_nodes=512)
-    return run_instability("dtn", EPS_GRID, 200, seed=2024, config=cfg)
+    cfg = ExperimentConfig(
+        problem="dtn", m=1, beta=1.0, n_max=32, quad_nodes=512, eps_list=EPS_GRID, budget=200, seed=2024
+    )
+    return run_instability(cfg)
 
 
 def test_criterion_9_instability_dtn(dtn_report):
@@ -382,16 +384,19 @@ def test_criterion_9_counting_check_margin(dtn_report):
 
 
 def test_criterion_9_instability_farfield():
-    cfg = EngineConfig(
+    cfg = ExperimentConfig(
         problem="farfield",
         m=1,
         beta=1.0,
-        wave_params=(1.0, 4.0),
+        a_list=(1.0, 4.0),
         scatter_n_max=12,
         scatter_quad=192,
-        direction_count=48,
+        directions=48,
+        eps_list=(0.12, 0.08, 0.05),
+        budget=40,
+        seed=2024,
     )
-    rep = run_instability("farfield", (0.12, 0.08, 0.05), 40, seed=2024, config=cfg)
+    rep = run_instability(cfg)
     norms = [r.op_norm_diff for r in rep.records]
     assert all(n > 0 for n in norms)
     inversions = sum(1 for n1, n2 in zip(norms, norms[1:]) if n1 <= n2)
@@ -408,8 +413,10 @@ def test_criterion_9_runtime(dtn_report):
     # the module-scoped fixture ran the full dtn grid; re-run a single eps to
     # bound the per-eps cost and extrapolate the full-grid runtime
     start = time.time()
-    cfg = EngineConfig(problem="dtn", m=1, beta=1.0, n_max=32, quad_nodes=512)
-    run_instability("dtn", (0.05,), 200, seed=2024, config=cfg)
+    cfg = ExperimentConfig(
+        problem="dtn", m=1, beta=1.0, n_max=32, quad_nodes=512, eps_list=(0.05,), budget=200, seed=2024
+    )
+    run_instability(cfg)
     per_eps = time.time() - start
     assert per_eps * len(EPS_GRID) < 600.0
     report(f"criterion 9 runtime: ~{per_eps * len(EPS_GRID):.0f}s for the full grid (< 600s)")

@@ -35,6 +35,20 @@ class TestParseConfig:
         cfg = parse_config("a_list=1.5,2.5,3.5")
         assert cfg.a_list == (1.5, 2.5, 3.5)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("n_max=8\nscatter_quad=33\n", "scatter_quad"),
+            ("n_max=8\nscatter_n_max=0\n", "scatter_n_max"),
+            ("c2=1.0\nalpha2=-1\n", "alpha2"),
+            ("c2=1.0\np=0\n", "p"),
+        ],
+    )
+    def test_range_error_names_its_own_key(self, text, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: .*\(line 2\)$") as info:
+            parse_config(text)
+        assert info.value.key == key
+
 
 class TestCsv:
     def test_empty_report_header_only(self, tmp_path):
@@ -58,15 +72,21 @@ class TestCsv:
 
 class TestSubcommands:
     def test_net_stdout(self, capsys):
-        code = cli.main(["net", "--delta", "0.01,0.001", "--C2", "1.0", "--alpha2", "0.5", "--p", "1.0"])
+        code = cli.main(["net", "--delta", "0.01,0.001", "--c2", "1.0", "--alpha2", "0.5", "--p", "1.0"])
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("delta,n_tilde,delta_prime,psi_count,pair_count,log_bound")
 
+    def test_net_counts_every_basis_pair(self, capsys):
+        # n_tilde 25 and 30: the circle basis has 2*25+1 and 2*30+1 elements
+        assert cli.main(["net", "--delta", "0.01,0.001", "--c2", "1", "--alpha2", "0.5", "--p", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        assert [(r.split(",")[1], r.split(",")[4]) for r in rows] == [("25", "2601"), ("30", "3721")]
+
     def test_pack_writes_csv(self, tmp_path):
         code = cli.main([
             "--out", str(tmp_path), "--seed", "5",
-            "pack", "--m", "1", "--beta", "1.0", "--eps", "0.1", "--samples", "4",
+            "pack", "--m", "1", "--beta", "1.0", "--eps-list", "0.1", "--samples", "4",
         ])
         assert code == 0
         body = (tmp_path / "pack.csv").read_text()
@@ -91,7 +111,7 @@ class TestSubcommands:
         save_shape(shape, shape_file)
         code = cli.main([
             "--out", str(tmp_path / "fwd"),
-            "forward", "--shape-file", str(shape_file), "--a", "2.0", "--nmax", "6",
+            "forward", "--shape-file", str(shape_file), "--a", "2.0", "--n-max", "6",
         ])
         assert code == 0
         assert (tmp_path / "fwd" / "dtn.csv").exists()
@@ -105,7 +125,8 @@ class TestSubcommands:
         save_shape(big, big_file)
         code = cli.main([
             "--out", str(tmp_path / "sc"),
-            "scatter", "--shape-file", str(big_file), "--a-list", "1.0", "--nmax", "6", "--quad", "96",
+            "scatter", "--shape-file", str(big_file), "--a-list", "1.0",
+            "--scatter-n-max", "6", "--scatter-quad", "96",
         ])
         assert code == 0
         assert (tmp_path / "sc" / "farfield_magnitudes.csv").exists()
@@ -128,10 +149,39 @@ class TestSubcommands:
             )
         assert outputs[0] == outputs[1]
 
-    def test_bad_config_exit_code(self, tmp_path):
+    def test_bad_config_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.cfg"
         bad.write_text("m=0\n")
-        assert cli.main(["--config", str(bad), "net"]) == 2
+        old = tmp_path / "old.cfg"
+        old.write_text("threads=1\n")  # the knob is gone: an unknown key
+        disk = shapes.Shape(
+            shapes.RADIAL_SUBGRAPH,
+            shapes.RadialProfile(np.zeros(256), base_radius=1.0, amplitude_cap=0.5),
+        )
+        save_shape(disk, tmp_path / "disk.txt")
+        for argv in (
+            ["--config", str(bad), "net"],
+            ["--config", str(old), "net"],
+            ["pack", "--eps-list", "0.1,,0.05"],
+            ["--out", "d", "instability", "--eps-list", "abc"],
+            ["scatter", "--shape-file", "disk.txt", "--quad", "96"],  # not --quad-nodes
+            ["--threads", "4", "net"],
+            ["net", "--m", "0"],
+            ["pack", "--seed", "-1", "--samples", "2"],
+            ["--out", "old.cfg/d", "net"],  # a file where the directory should go
+        ):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects unknown flags itself
+                code = exc.code
+            assert code == 2, argv
+        assert not (tmp_path / "d").exists()
+
+    def test_flags_before_and_after_the_subcommand(self, capsys):
+        assert cli.main(["--seed", "3", "--m", "2", "net", "--m", "4", "--delta", "0.01"]) == 0
+        echo = capsys.readouterr().out
+        assert "seed=3\n" in echo and "m=4\n" in echo
 
     def test_missing_shape_file_is_config_error(self, tmp_path):
         code = cli.main(["--out", str(tmp_path), "forward", "--shape-file", str(tmp_path / "nope.txt")])

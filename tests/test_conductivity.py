@@ -11,6 +11,8 @@ from expinstab.conductivity import (
     diagonal_decay_fit,
     dtn_concentric,
     dtn_numeric,
+    fit_envelope,
+    fourier_degrees,
     ntd_from_dtn,
     resistance_matrix,
 )
@@ -154,6 +156,18 @@ class TestWeightedDifference:
         violations = np.abs(op.entries) > op.c2 * np.exp(-op.alpha2 * maxdeg) * (1 + 1e-12)
         assert violations.sum() == 0
         assert op.alpha2 > 0
+
+    def test_one_shell_fallback_is_a_bound(self):
+        # a single shell gives no decay to regress on: the fit keeps rate 1
+        # and the constant that makes the envelope exact at that rate
+        degrees = fourier_degrees(3)
+        entries = np.zeros((7, 7))
+        entries[5, 5] = 0.1  # degree 3
+        fit = fit_envelope(entries, degrees)
+        assert fit.alpha2 == 1.0
+        assert fit.c2 == pytest.approx(0.1 * math.exp(3.0), rel=1e-15)
+        maxdeg = np.maximum.outer(degrees, degrees)
+        assert np.all(entries <= fit.c2 * np.exp(-fit.alpha2 * maxdeg))
 
 
 class TestNtd:

@@ -5,7 +5,8 @@ import pytest
 
 from expinstab.conductivity import InclusionProblem, delta_dtn_weighted, fourier_degrees
 from expinstab.engine import (
-    EngineConfig,
+    ConfigError,
+    ExperimentConfig,
     InstabilityReport,
     WitnessRecord,
     fit_instability_exponent,
@@ -13,7 +14,6 @@ from expinstab.engine import (
 )
 from expinstab.opnet import net_size_log_bound
 from expinstab.packing import build_packing
-from expinstab.scattering import circle_degrees
 
 
 def synthetic_report(eps_values, norms):
@@ -63,16 +63,18 @@ class TestExponentFit:
 
 class TestRunInstability:
     def test_budget_two_returns_the_sampled_pair(self):
-        cfg = EngineConfig(problem="dtn", n_max=8, quad_nodes=128)
-        report = run_instability("dtn", [0.1], 2, seed=3, config=cfg)
+        cfg = ExperimentConfig(problem="dtn", n_max=8, quad_nodes=128, eps_list=(0.1,), budget=2, seed=3)
+        report = run_instability(cfg)
         rec = report.records[0]
         assert rec.sample_count == 2
         assert {rec.pattern_a, rec.pattern_b} != {0} and rec.pattern_a != rec.pattern_b
         assert rec.hausdorff >= rec.eps - rec.resolution
 
     def test_dtn_pipeline_norms_decrease(self):
-        cfg = EngineConfig(problem="dtn", n_max=16, quad_nodes=256)
-        report = run_instability("dtn", [0.12, 0.08, 0.05], 10, seed=0, config=cfg)
+        cfg = ExperimentConfig(
+            problem="dtn", n_max=16, quad_nodes=256, eps_list=(0.12, 0.08, 0.05), budget=10, seed=0
+        )
+        report = run_instability(cfg)
         norms = [r.op_norm_diff for r in report.records]
         assert norms[0] > norms[1] > norms[2]
         assert report.q_hat > 0
@@ -80,20 +82,25 @@ class TestRunInstability:
             assert rec.hausdorff >= rec.eps - rec.resolution
 
     def test_deterministic_reports(self):
-        cfg = EngineConfig(problem="dtn", n_max=8, quad_nodes=128)
-        r1 = run_instability("dtn", [0.1, 0.06], 5, seed=11, config=cfg)
-        r2 = run_instability("dtn", [0.1, 0.06], 5, seed=11, config=cfg)
+        cfg = ExperimentConfig(
+            problem="dtn", n_max=8, quad_nodes=128, eps_list=(0.1, 0.06), budget=5, seed=11
+        )
+        r1 = run_instability(cfg)
+        r2 = run_instability(cfg)
         assert r1 == r2
 
     def test_farfield_harness_runs_with_sup_over_wave_params(self):
-        cfg = EngineConfig(
+        cfg = ExperimentConfig(
             problem="farfield",
             scatter_n_max=8,
             scatter_quad=96,
-            direction_count=24,
-            wave_params=(1.0, 4.0),
+            directions=24,
+            a_list=(1.0, 4.0),
+            eps_list=(0.1,),
+            budget=4,
+            seed=2,
         )
-        report = run_instability("farfield", [0.1], 4, seed=2, config=cfg)
+        report = run_instability(cfg)
         rec = report.records[0]
         assert rec.op_norm_diff > 0
         assert rec.hausdorff >= rec.eps - rec.resolution
@@ -103,27 +110,30 @@ class TestRunInstability:
             report.class_c2,
             report.class_alpha2,
             1.0,
-            degrees=circle_degrees(cfg.scatter_n_max),
+            degrees=fourier_degrees(cfg.scatter_n_max),
             complex_entries=True,
         )
         assert rec.net_log_bound == bound.log_bound
 
     @pytest.mark.parametrize("problem", ["ntd", "electrodes"])
     def test_conductivity_variants_run(self, problem):
-        cfg = EngineConfig(problem=problem, n_max=12, quad_nodes=192)
-        report = run_instability(problem, [0.1, 0.06], 5, seed=4, config=cfg)
+        cfg = ExperimentConfig(
+            problem=problem, n_max=12, quad_nodes=192, eps_list=(0.1, 0.06), budget=5, seed=4
+        )
+        report = run_instability(cfg)
         norms = [r.op_norm_diff for r in report.records]
         assert norms[0] > norms[1] > 0
         for rec in report.records:
             assert rec.hausdorff >= rec.eps - rec.resolution
 
     def test_rejects_tiny_budget(self):
-        with pytest.raises(ValueError):
-            run_instability("dtn", [0.1], 1, seed=0)
+        with pytest.raises(ConfigError, match="budget") as info:
+            ExperimentConfig(problem="dtn", eps_list=(0.1,), budget=1, seed=0)
+        assert info.value.key == "budget"
 
     def test_unknown_problem(self):
-        with pytest.raises(ValueError):
-            EngineConfig(problem="sonar")
+        with pytest.raises(ConfigError, match="problem"):
+            ExperimentConfig(problem="sonar")
 
 
 class TestCountedNet:
@@ -131,11 +141,13 @@ class TestCountedNet:
     counted net bound behind the record's margin."""
 
     EPS, BUDGET, SEED = 0.1, 6, 99
-    CFG = EngineConfig(problem="dtn", n_max=12, quad_nodes=192)
+    CFG = ExperimentConfig(
+        problem="dtn", n_max=12, quad_nodes=192, eps_list=(EPS,), budget=BUDGET, seed=SEED
+    )
 
     @pytest.fixture(scope="class")
     def report(self):
-        return run_instability("dtn", [self.EPS], self.BUDGET, seed=self.SEED, config=self.CFG)
+        return run_instability(self.CFG)
 
     def test_class_c2_is_smallest_envelope_constant(self, report):
         # the engine samples eps number `index` with default_rng([seed, index])
@@ -146,7 +158,7 @@ class TestCountedNet:
         smallest = 0.0
         for pattern in patterns:
             prob = InclusionProblem(
-                family.shape(pattern), self.CFG.contrast, self.CFG.n_max, self.CFG.quad_nodes
+                family.shape(pattern), self.CFG.a, self.CFG.n_max, self.CFG.quad_nodes
             )
             entries = np.abs(delta_dtn_weighted(prob).entries)
             smallest = max(smallest, float(np.max(np.where(entries > 1e-14, entries * decay, 0.0))))
