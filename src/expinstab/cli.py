@@ -308,6 +308,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
+        if args.command in ("forward", "instability") and not cfg.out:
+            raise ConfigError(f"{args.command} requires --out")
         out = _out_dir(cfg)
         if args.command == "pack":
             rows = _cmd_pack(cfg)
@@ -325,8 +327,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         elif args.command == "forward":
             dtn, fit_rows, r_mat = _run_forward(cfg, args.shape_file)
-            if out is None:
-                raise ConfigError("forward requires --out")
             emit_matrix_csv(out / "dtn.csv", dtn)
             write_csv(out / "decay_fit.csv", ["name", "value"], fit_rows)
             emit_matrix_csv(out / "resistance.csv", r_mat)
@@ -338,8 +338,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         elif args.command == "instability":
             report = run_instability(cfg)
-            if out is None:
-                raise ConfigError("instability requires --out")
             emit_report_csv(out / "report.csv", report)
             emit_report_plot_data(out / "plot_data.csv", report)
             write_csv(

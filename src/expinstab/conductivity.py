@@ -66,10 +66,7 @@ class InclusionProblem:
 
 def fourier_degrees(n_max: int) -> np.ndarray:
     """Degrees of the ordered circle basis [1, cos, sin, cos 2, sin 2, ...]."""
-    out = [0.0]
-    for j in range(1, n_max + 1):
-        out.extend([float(j), float(j)])
-    return np.array(out)
+    return np.concatenate([[0.0], np.repeat(np.arange(1.0, n_max + 1), 2)])
 
 
 def dtn_concentric(rho: float, a: float, n_max: int) -> np.ndarray:
@@ -220,41 +217,39 @@ class EnvelopeFit:
         return float(np.max(self.maxima * np.exp(alpha2 * self.levels), initial=1e-300))
 
 
+def _shell_maxima(values: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct degrees (ascending) and the max of |values| over the
+    entries of each exact degree; degrees has the shape of values."""
+    levels, shell = np.unique(degrees, return_inverse=True)
+    maxima = np.zeros(levels.size)
+    np.maximum.at(maxima, shell.ravel(), np.abs(values).ravel())
+    return levels, maxima
+
+
 def fit_envelope(entries: np.ndarray, degrees: np.ndarray) -> EnvelopeFit:
     """Fit |b_jk| <= C2 exp(-alpha2 max(gamma_j, gamma_k)): alpha2 from a
     log-linear shell regression, C2 as the smallest constant making the
     envelope exact (zero violations)."""
-    maxdeg = np.maximum.outer(degrees, degrees)
-    shells = np.unique(degrees)
-    mags, levels = [], []
-    for n in shells:
-        m = np.max(np.abs(entries)[np.isclose(maxdeg, n)])
-        if m > 1e-14:
-            mags.append(m)
-            levels.append(n)
-    levels_arr, mags_arr = np.array(levels, dtype=float), np.array(mags, dtype=float)
-    if len(mags) < 2:
+    levels, maxima = _shell_maxima(entries, np.maximum.outer(degrees, degrees))
+    keep = maxima > 1e-14
+    levels, maxima = levels[keep], maxima[keep]
+    if levels.size < 2:
         alpha2 = 1.0  # no decay to regress on
     else:
-        slope, _ = np.polyfit(levels_arr, np.log(mags_arr), 1)
+        slope, _ = np.polyfit(levels, np.log(maxima), 1)
         alpha2 = float(max(-slope, 1e-12))
-    fit = EnvelopeFit(0.0, alpha2, levels_arr, mags_arr)
+    fit = EnvelopeFit(0.0, alpha2, levels, maxima)
     return replace(fit, c2=fit.c2_at(alpha2))
 
 
 def diagonal_decay_fit(matrix: OperatorMatrix) -> tuple[float, float, float]:
     """Log-linear fit of the per-degree diagonal maxima: returns
     (alpha_hat, c_hat, r_squared)."""
-    diag = np.abs(np.diag(matrix.entries))
-    degrees = matrix.degrees
-    levels = np.unique(degrees[degrees > 0])
-    ys, ns = [], []
-    for n in levels:
-        m = diag[np.isclose(degrees, n)].max()
-        if m > 1e-300:
-            ys.append(math.log(m))
-            ns.append(n)
-    ns_arr, ys_arr = np.array(ns), np.array(ys)
+    positive = matrix.degrees > 0
+    levels, maxima = _shell_maxima(np.diag(matrix.entries)[positive], matrix.degrees[positive])
+    keep = maxima > 1e-300
+    ns_arr = levels[keep]
+    ys_arr = np.array([math.log(m) for m in maxima[keep]])
     slope, intercept = np.polyfit(ns_arr, ys_arr, 1)
     pred = slope * ns_arr + intercept
     ss_res = float(np.sum((ys_arr - pred) ** 2))
@@ -315,61 +310,43 @@ class ElectrodeConfig:
         return cls(arcs, (impedance,) * count)
 
 
-def _arc_cos_integral(k: int, a: float, b: float) -> float:
-    if k == 0:
-        return b - a
-    return (math.sin(k * b) - math.sin(k * a)) / k
-
-
-def _arc_sin_integral(k: int, a: float, b: float) -> float:
-    if k == 0:
-        return 0.0
-    return (math.cos(k * a) - math.cos(k * b)) / k
+def _arc_integrals(arc: tuple[float, float], k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """int_arc cos(k theta) and int_arc sin(k theta) dtheta for k = 0..k_max."""
+    a, b = arc
+    k = np.arange(1.0, k_max + 1)
+    ic = np.concatenate([[b - a], (np.sin(k * b) - np.sin(k * a)) / k])
+    is_ = np.concatenate([[0.0], (np.cos(k * a) - np.cos(k * b)) / k])
+    return ic, is_
 
 
 def arc_mode_integrals(arc: tuple[float, float], n_max: int) -> np.ndarray:
     """<chi_arc, e_f> for the ordered normalized basis (analytic)."""
-    a, b = arc
+    ic, is_ = _arc_integrals(arc, n_max)
     out = np.empty(2 * n_max + 1)
-    out[0] = (b - a) / math.sqrt(2.0 * math.pi)
-    for j in range(1, n_max + 1):
-        out[2 * j - 1] = _arc_cos_integral(j, a, b) / math.sqrt(math.pi)
-        out[2 * j] = _arc_sin_integral(j, a, b) / math.sqrt(math.pi)
+    out[0] = ic[0] / math.sqrt(2.0 * math.pi)
+    out[1::2] = ic[1:] / math.sqrt(math.pi)
+    out[2::2] = is_[1:] / math.sqrt(math.pi)
     return out
 
 
 def _arc_multiplication_matrix(arc: tuple[float, float], n_max: int) -> np.ndarray:
-    """X[f, g] = int_arc e_f e_g dtheta, via product-to-sum identities."""
-    a, b = arc
-    kmax = 2 * n_max
-    ic = np.array([_arc_cos_integral(k, a, b) for k in range(kmax + 1)])
-    is_ = np.array([_arc_sin_integral(k, a, b) for k in range(kmax + 1)])
-
-    def icos(k: int) -> float:
-        return ic[abs(k)]
-
-    def isin(k: int) -> float:
-        return math.copysign(1.0, k) * is_[abs(k)] if k != 0 else 0.0
-
-    size = 2 * n_max + 1
-    x = np.zeros((size, size))
-    inv2pi = 1.0 / (2.0 * math.pi)
+    """X[f, g] = int_arc e_f e_g dtheta, via product-to-sum identities on the
+    index grids n - m and n + m (n, m >= 1); sin integrals are odd in k."""
+    ic, is_ = _arc_integrals(arc, 2 * n_max)
+    n = np.arange(1, n_max + 1)
+    diff, plus = n[:, None] - n[None, :], n[:, None] + n[None, :]
+    cos_diff, cos_plus = ic[np.abs(diff)], ic[plus]
+    sin_diff, sin_plus = np.sign(diff) * is_[np.abs(diff)], is_[plus]
     invpi = 1.0 / math.pi
     sq = 1.0 / math.sqrt(2.0 * math.pi) / math.sqrt(math.pi)
-    x[0, 0] = (b - a) * inv2pi
-    for j in range(1, n_max + 1):
-        x[0, 2 * j - 1] = x[2 * j - 1, 0] = sq * icos(j)
-        x[0, 2 * j] = x[2 * j, 0] = sq * isin(j)
-    for n in range(1, n_max + 1):
-        for m in range(1, n_max + 1):
-            cc = 0.5 * (icos(n - m) + icos(n + m)) * invpi
-            ss = 0.5 * (icos(n - m) - icos(n + m)) * invpi
-            cs = 0.5 * (isin(n + m) - isin(n - m)) * invpi
-            sc = 0.5 * (isin(n + m) + isin(n - m)) * invpi
-            x[2 * n - 1, 2 * m - 1] = cc
-            x[2 * n, 2 * m] = ss
-            x[2 * n - 1, 2 * m] = cs
-            x[2 * n, 2 * m - 1] = sc
+    x = np.empty((2 * n_max + 1, 2 * n_max + 1))
+    x[0, 0] = ic[0] * (1.0 / (2.0 * math.pi))
+    x[0, 1::2] = x[1::2, 0] = sq * ic[1 : n_max + 1]
+    x[0, 2::2] = x[2::2, 0] = sq * is_[1 : n_max + 1]
+    x[1::2, 1::2] = 0.5 * (cos_diff + cos_plus) * invpi
+    x[2::2, 2::2] = 0.5 * (cos_diff - cos_plus) * invpi
+    x[1::2, 2::2] = 0.5 * (sin_plus - sin_diff) * invpi
+    x[2::2, 1::2] = 0.5 * (sin_plus + sin_diff) * invpi
     return x
 
 

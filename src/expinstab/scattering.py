@@ -65,10 +65,6 @@ class FarFieldMatrix:
     wave_param: float
     reciprocity_residual: float = 0.0
 
-    @property
-    def wave_number(self) -> float:
-        return math.sqrt(self.wave_param)
-
 
 def farfield_l2_norm(matrix: FarFieldMatrix) -> float:
     """L^2(S^1 x S^1) norm of the far-field map = l^2 norm of b_kl."""
@@ -95,10 +91,8 @@ def farfield_disk(radius: float, a: float, n_max: int) -> FarFieldMatrix:
     c = disk_mode_coefficients(radius, a, n_max)
     front = math.sqrt(2.0 / (math.pi * k)) * np.exp(-1j * math.pi / 4.0)
     degrees = fourier_degrees(n_max)
-    diag = np.empty(degrees.size, dtype=complex)
-    diag[0] = 2.0 * math.pi * front * c[0]
-    for j in range(1, n_max + 1):
-        diag[2 * j - 1] = diag[2 * j] = 2.0 * math.pi * front * c[j]
+    # scalar complex products: numpy's vector complex multiply can round differently
+    diag = np.array([2.0 * math.pi * front * c[j] for j in degrees.astype(int)])
     return FarFieldMatrix(np.diag(diag), degrees, a)
 
 

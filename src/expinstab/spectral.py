@@ -66,27 +66,22 @@ class BasisElement:
 
     # -- angular factor, L^2-normalized on the accessible boundary -----------
 
+    @property
+    def trace_scale(self) -> float:
+        """Amplitude of the normalized angular factor.  The accessible
+        boundary is the upper semicircle theta in [0, pi] on the half disk
+        and theta in (0, 2*pi) on the disk and the slit disk."""
+        half = self.domain_kind in (HALF_DISK_NEUMANN, HALF_DISK_DIRICHLET)
+        if self.parity == "const":
+            return 1.0 / math.sqrt(math.pi if half else 2.0 * math.pi)
+        return math.sqrt(2.0 / math.pi) if half else 1.0 / math.sqrt(math.pi)
+
     def trace(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if self.domain_kind == FULL_CIRCLE:
-            if self.parity == "const":
-                return np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
-            scale = 1.0 / math.sqrt(math.pi)
-            fn = np.cos if self.parity == "cos" else np.sin
-            return scale * fn(self.degree * theta)
-        if self.domain_kind in (HALF_DISK_NEUMANN, HALF_DISK_DIRICHLET):
-            # accessible boundary: upper semicircle theta in [0, pi]
-            if self.parity == "const":
-                return np.full_like(theta, 1.0 / math.sqrt(math.pi))
-            scale = math.sqrt(2.0 / math.pi)
-            fn = np.cos if self.parity == "cos" else np.sin
-            return scale * fn(self.degree * theta)
-        # slit disk: theta in (0, 2*pi), half-integer frequencies
         if self.parity == "const":
-            return np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))
-        scale = 1.0 / math.sqrt(math.pi)
+            return np.full_like(theta, self.trace_scale)
         fn = np.cos if self.parity == "cos" else np.sin
-        return scale * fn(self.degree * theta)
+        return self.trace_scale * fn(self.degree * theta)
 
     def interior(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Eigenfunction r^degree * angular(theta) at interior points."""
@@ -242,11 +237,7 @@ def interior_decay(elt: BasisElement, r0: float, quad: int = 200) -> float:
 def _trace_derivative(elt: BasisElement, theta: np.ndarray) -> np.ndarray:
     if elt.parity == "const":
         return np.zeros_like(theta)
-    g = elt.degree
-    if elt.domain_kind in (HALF_DISK_NEUMANN, HALF_DISK_DIRICHLET):
-        scale = math.sqrt(2.0 / math.pi)
-    else:
-        scale = 1.0 / math.sqrt(math.pi)
+    g, scale = elt.degree, elt.trace_scale
     if elt.parity == "cos":
         return -g * scale * np.sin(g * theta)
     return g * scale * np.cos(g * theta)

@@ -183,6 +183,22 @@ class TestSubcommands:
         echo = capsys.readouterr().out
         assert "seed=3\n" in echo and "m=4\n" in echo
 
+    def test_out_is_checked_before_the_work(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the computation ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_instability", never)
+        monkeypatch.setattr(cli, "_run_forward", never)
+        disk = shapes.Shape(
+            shapes.RADIAL_SUBGRAPH,
+            shapes.RadialProfile(np.zeros(256), base_radius=0.5, amplitude_cap=0.25),
+        )
+        save_shape(disk, tmp_path / "disk.txt")
+        assert cli.main(["instability", "--eps-list", "0.05", "--budget", "20"]) == 2
+        assert cli.main(["forward", "--shape-file", str(tmp_path / "disk.txt")]) == 2
+        err = capsys.readouterr().err
+        assert "instability requires --out" in err and "forward requires --out" in err
+
     def test_missing_shape_file_is_config_error(self, tmp_path):
         code = cli.main(["--out", str(tmp_path), "forward", "--shape-file", str(tmp_path / "nope.txt")])
         assert code == 2

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from expinstab import shapes
+from expinstab import shapes, spectral
 from expinstab.conductivity import (
     ElectrodeConfig,
     InclusionProblem,
+    _arc_multiplication_matrix,
+    _shell_maxima,
+    arc_mode_integrals,
     delta_dtn_weighted,
     diagonal_decay_fit,
     dtn_concentric,
@@ -16,6 +19,7 @@ from expinstab.conductivity import (
     ntd_from_dtn,
     resistance_matrix,
 )
+from expinstab.opnet import OperatorMatrix
 from expinstab.shapes import RadialProfile, Shape
 
 
@@ -168,6 +172,81 @@ class TestWeightedDifference:
         assert fit.c2 == pytest.approx(0.1 * math.exp(3.0), rel=1e-15)
         maxdeg = np.maximum.outer(degrees, degrees)
         assert np.all(entries <= fit.c2 * np.exp(-fit.alpha2 * maxdeg))
+
+
+def brute_shell_maxima(values, degrees):
+    """Per-shell loop: each distinct degree and the max of |values| on it."""
+    levels = sorted(set(degrees.ravel().tolist()))
+    return levels, [np.abs(values[degrees == d]).max() for d in levels]
+
+
+class TestShellMaxima:
+    # slit-disk degrees 0, 1/2, 1, ..., 6; the degree-2.5 shell is dropped
+    DEGREES = np.array([e.degree for e in spectral.enumerate_basis(
+        spectral.BasisSpec(spectral.SLIT_DISK_NEUMANN, n_max=6))])
+
+    def matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        maxdeg = np.maximum.outer(self.DEGREES, self.DEGREES)
+        entries = rng.standard_normal(maxdeg.shape) * np.exp(-0.9 * maxdeg)
+        entries[maxdeg == 2.5] *= 1e-16
+        return entries, maxdeg
+
+    def test_against_per_shell_loop(self):
+        entries, maxdeg = self.matrix(0)
+        levels, maxima = _shell_maxima(entries, maxdeg)
+        want_levels, want_maxima = brute_shell_maxima(entries, maxdeg)
+        assert levels.tolist() == want_levels == [k / 2 for k in range(13)]
+        assert maxima.tolist() == want_maxima
+
+    def test_fit_envelope_drops_tiny_shells(self):
+        entries, maxdeg = self.matrix(1)
+        fit = fit_envelope(entries, self.DEGREES)
+        shells = [(n, m) for n, m in zip(*brute_shell_maxima(entries, maxdeg)) if m > 1e-14]
+        assert 2.5 not in fit.levels and len(shells) == 12
+        assert fit.levels.tolist() == [n for n, _ in shells]
+        assert fit.maxima.tolist() == [m for _, m in shells]
+        slope, _ = np.polyfit(fit.levels, np.log(fit.maxima), 1)
+        assert fit.alpha2 == -slope
+        assert fit.c2 == max(m * math.exp(fit.alpha2 * n) for n, m in shells)
+
+    def test_diagonal_decay_fit(self):
+        entries, _ = self.matrix(2)
+        diag = np.diag(entries)
+        op = OperatorMatrix(entries, self.DEGREES, 1.0, 1.0, 1.0)
+        positive = self.DEGREES > 0
+        shells = brute_shell_maxima(diag[positive], self.DEGREES[positive])
+        ns, ys = np.array(shells[0]), np.log(shells[1])
+        slope, intercept = np.polyfit(ns, ys, 1)
+        r2 = 1.0 - np.sum((ys - (slope * ns + intercept)) ** 2) / np.sum((ys - ys.mean()) ** 2)
+        alpha_hat, c_hat, r_squared = diagonal_decay_fit(op)
+        assert alpha_hat == pytest.approx(-slope, rel=1e-12)
+        assert c_hat == pytest.approx(math.exp(intercept), rel=1e-12)
+        assert r_squared == pytest.approx(r2, rel=1e-12)
+
+
+def arc_basis(theta, n_max):
+    """Ordered normalized circle basis [1, cos, sin, ...] at theta, one row each."""
+    rows = [np.full_like(theta, 1.0 / math.sqrt(2.0 * math.pi))]
+    for j in range(1, n_max + 1):
+        rows += [np.cos(j * theta) / math.sqrt(math.pi), np.sin(j * theta) / math.sqrt(math.pi)]
+    return np.array(rows)
+
+
+class TestArcOperators:
+    # eight equispaced electrodes, one wide arc and one arc ending past 2 pi
+    ARCS = ElectrodeConfig.equispaced(8).arcs + ((0.4, 5.4), (5.9, 6.9))
+
+    @pytest.mark.parametrize("arc", ARCS)
+    def test_against_gauss_legendre(self, arc):
+        a, b = arc
+        nodes, weights = np.polynomial.legendre.leggauss(256)
+        theta = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        basis = arc_basis(theta, 32)
+        w = 0.5 * (b - a) * weights
+        np.testing.assert_allclose(arc_mode_integrals(arc, 32), basis @ w, rtol=0, atol=1e-13)
+        x = _arc_multiplication_matrix(arc, 32)
+        np.testing.assert_allclose(x, (basis * w) @ basis.T, rtol=0, atol=1e-13)
 
 
 class TestNtd:

@@ -175,6 +175,7 @@ class TestEigenfunctions:
 
     def test_trace_orthonormality(self):
         # Gram matrix within 1e-8 of the identity at 4096 quadrature points
+        nodes, weights = np.polynomial.legendre.leggauss(4096)
         for kind in ALL_DOMAINS:
             elems = enumerate_basis(BasisSpec(kind, n_max=12))
             if kind == spectral.FULL_CIRCLE:
@@ -182,7 +183,6 @@ class TestEigenfunctions:
                 w = np.full(4096, 2 * np.pi / 4096)
             else:
                 hi = np.pi if kind.startswith("half") else 2 * np.pi
-                nodes, weights = np.polynomial.legendre.leggauss(4096)
                 theta = 0.5 * hi * (nodes + 1.0)
                 w = 0.5 * hi * weights
             traces = np.stack([e.trace(theta) for e in elems])
