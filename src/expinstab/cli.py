@@ -25,6 +25,7 @@ from expinstab.conductivity import (
     delta_dtn_weighted,
     diagonal_decay_fit,
     dtn_numeric,
+    ntd_from_dtn,
     resistance_matrix,
 )
 from expinstab.engine import ConfigError, ExperimentConfig, InstabilityReport, run_instability
@@ -243,7 +244,7 @@ def _run_forward(cfg: ExperimentConfig, shape_file: str):
     alpha_hat, c_hat, r2 = diagonal_decay_fit(weighted)
     fit_rows = [("alpha_hat", alpha_hat), ("c_hat", c_hat), ("r_squared", r2)]
     ecfg = ElectrodeConfig.equispaced(cfg.electrodes, cfg.electrode_coverage, cfg.electrode_z)
-    r_mat = resistance_matrix(prob, ecfg, dtn_matrix=dtn)
+    r_mat = resistance_matrix(prob, ecfg, ntd_matrix=ntd_from_dtn(dtn))
     return dtn, fit_rows, r_mat
 
 

@@ -108,25 +108,36 @@ def _interface_geometry(prob: InclusionProblem) -> _InterfaceGeometry:
     return _InterfaceGeometry(pts, normals, weights, radius, angle, curvature)
 
 
-def _kstar_matrix(geo: _InterfaceGeometry) -> np.ndarray:
-    """Weighted kernel ofdG/dnu(x) for the disk Green's function:
-    -(1/2pi) nu(x).(x-y)/|x-y|^2  +  (1/2pi) nu(x).(x-y*)/|x-y*|^2."""
-    x = geo.points
-    nu = geo.normals
-    diff = x[:, None, :] - x[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    num = np.einsum("ijk,ik->ij", diff, nu)
+def _normal_quotients(geo: _InterfaceGeometry, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """nu(x_i).(x_i - p_j) / |x_i - p_j|^2 for interface nodes x_i and points p_j."""
+    x, y = geo.points[:, :1], geo.points[:, 1:]
+    nx, ny = geo.normals[:, :1], geo.normals[:, 1:]
+    dx = x - px
+    dy = y - py
+    quot = nx * dx
+    quot += ny * dy
+    dx *= dx
+    dy *= dy
+    dx += dy
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_part = -num / r2 / (2.0 * np.pi)
-    # continuous diagonal limit of the log part: -kappa/(4 pi)
-    np.fill_diagonal(log_part, -geo.curvature / (4.0 * np.pi))
+        quot /= dx
+    return quot
+
+
+def _kstar_matrix(geo: _InterfaceGeometry) -> np.ndarray:
+    """Weighted kernel of dG/dnu(x) for the disk Green's function:
+    -(1/2pi) nu(x).(x-y)/|x-y|^2  +  (1/2pi) nu(x).(x-y*)/|x-y*|^2,
+    times the trapezoid weight of y (1/2pi and the weights are one column scale)."""
+    x, y = geo.points[:, 0], geo.points[:, 1]
     # image part: y* = y/|y|^2, smooth since |y*| >= 1/0.8 > |x|
-    ystar = x / (geo.radius**2)[:, None]
-    diff_s = x[:, None, :] - ystar[None, :, :]
-    r2_s = np.einsum("ijk,ijk->ij", diff_s, diff_s)
-    num_s = np.einsum("ijk,ik->ij", diff_s, nu)
-    image_part = num_s / r2_s / (2.0 * np.pi)
-    return (log_part + image_part) * geo.weights[None, :]
+    r2 = geo.radius**2
+    kernel = _normal_quotients(geo, x / r2, y / r2)
+    log_part = _normal_quotients(geo, x, y)
+    # continuous diagonal limit of the log part: -kappa/(4 pi) once negated and scaled
+    np.fill_diagonal(log_part, 0.5 * geo.curvature)
+    kernel -= log_part
+    kernel *= geo.weights / (2.0 * np.pi)
+    return kernel
 
 
 def _mode_traces(geo: _InterfaceGeometry, n_max: int):
@@ -198,7 +209,7 @@ def delta_dtn_weighted(prob: InclusionProblem, p: float = 1.0) -> OperatorMatrix
     weights = 1.0 / np.sqrt(1.0 + degrees)
     entries = delta * np.outer(weights, weights)
     fit = fit_envelope(entries, degrees)
-    return OperatorMatrix(entries, degrees, fit.c2, fit.alpha2, p)
+    return OperatorMatrix(entries, degrees, fit.c2, fit.alpha2, p, fit)
 
 
 @dataclass(frozen=True)
@@ -353,7 +364,7 @@ def _arc_multiplication_matrix(arc: tuple[float, float], n_max: int) -> np.ndarr
 def resistance_matrix(
     prob: InclusionProblem,
     cfg: ElectrodeConfig,
-    dtn_matrix: np.ndarray | None = None,
+    ntd_matrix: np.ndarray | None = None,
 ) -> np.ndarray:
     """L x L resistance matrix of the complete electrode model.
 
@@ -361,14 +372,15 @@ def resistance_matrix(
     K(D) applies the Neumann-to-Dirichlet map arc-wise with impedance
     weights, then assembles V from arc averages of the resulting potential;
     voltages are normalized to sum to zero and R annihilates constants.
+    ``ntd_matrix`` is ``ntd_from_dtn(dtn_numeric(prob))``, computed when not
+    given.
     """
-    if dtn_matrix is None:
-        dtn_matrix = dtn_numeric(prob)
+    if ntd_matrix is None:
+        ntd_matrix = ntd_from_dtn(dtn_numeric(prob))
     n_max = prob.n_max
     size = 2 * n_max + 1
-    ntd = ntd_from_dtn(dtn_matrix)
     n_full = np.zeros((size, size))
-    n_full[1:, 1:] = ntd
+    n_full[1:, 1:] = ntd_matrix
 
     lengths = cfg.lengths
     c_vecs = np.stack([arc_mode_integrals(arc, n_max) for arc in cfg.arcs])

@@ -39,6 +39,7 @@ import numpy as np
 from expinstab import shapes, spectral
 from expinstab.conductivity import (
     ElectrodeConfig,
+    EnvelopeFit,
     InclusionProblem,
     delta_dtn_weighted,
     dtn_numeric,
@@ -58,6 +59,10 @@ NORM_FLOOR = 1e-300
 
 # boundary samples behind the witness pair's Hausdorff distance and resolution
 DISTANCE_SAMPLES = 512
+
+# relative slack on a computed lower bound of a pair distance: rounding in the
+# bound can then never prune the pair of smallest distance
+BOUND_SLACK = 1e-10
 
 
 class ConfigError(ValueError):
@@ -156,12 +161,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class _ForwardResult:
-    measurement: object
-    class_entries: np.ndarray
+    measurement: np.ndarray
+    fit: EnvelopeFit
     class_degrees: np.ndarray
 
 
 def _make_forward(cfg: ExperimentConfig):
+    """The problem's forward map, its measurement distance, and a lower bound
+    on that distance evaluated in bulk on a stack of measurement differences."""
     if cfg.problem in ("dtn", "ntd", "electrodes"):
         mean_zero_degrees = fourier_degrees(cfg.n_max)[1:]
         ecfg = ElectrodeConfig.equispaced(cfg.electrodes, cfg.electrode_coverage, cfg.electrode_z)
@@ -171,18 +178,22 @@ def _make_forward(cfg: ExperimentConfig):
             prob = InclusionProblem(shape, cfg.a, cfg.n_max, cfg.quad_nodes)
             if cfg.problem == "dtn":
                 op = delta_dtn_weighted(prob)
-                return _ForwardResult(op.entries, op.entries, op.degrees)
-            dtn = dtn_numeric(prob)
-            ntd = ntd_from_dtn(dtn)
+                return _ForwardResult(op.entries, op.envelope, op.degrees)
+            ntd = ntd_from_dtn(dtn_numeric(prob))
+            fit = fit_envelope(ntd - ntd_base, mean_zero_degrees)
             if cfg.problem == "ntd":
-                return _ForwardResult(ntd, ntd - ntd_base, mean_zero_degrees)
-            r_mat = resistance_matrix(prob, ecfg, dtn_matrix=dtn)
-            return _ForwardResult(r_mat, ntd - ntd_base, mean_zero_degrees)
+                return _ForwardResult(ntd, fit, mean_zero_degrees)
+            r_mat = resistance_matrix(prob, ecfg, ntd_matrix=ntd)
+            return _ForwardResult(r_mat, fit, mean_zero_degrees)
 
-        def dist(f1: _ForwardResult, f2: _ForwardResult) -> float:
-            return float(np.linalg.norm(f1.measurement - f2.measurement, 2))
+        def dist(m1: np.ndarray, m2: np.ndarray) -> float:
+            return float(np.linalg.norm(m1 - m2, 2))
 
-        return forward, dist
+        def lower_bound(diffs: np.ndarray) -> np.ndarray:
+            # ||A||_2 >= max_j ||A e_j||: the largest column norm
+            return np.sqrt(np.einsum("kij,kij->kj", diffs, diffs).max(axis=1))
+
+        return forward, dist, lower_bound
 
     degrees = fourier_degrees(cfg.scatter_n_max)
 
@@ -190,14 +201,18 @@ def _make_forward(cfg: ExperimentConfig):
         prob = ObstacleProblem(shape, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions)
         fields = farfield_numeric(prob)
         stacked = np.stack([fields[a].entries for a in cfg.a_list])
-        return _ForwardResult(stacked, np.abs(stacked).max(axis=0), degrees)
+        fit = fit_envelope(np.abs(stacked).max(axis=0), degrees)
+        return _ForwardResult(stacked, fit, degrees)
 
-    def dist(f1: _ForwardResult, f2: _ForwardResult) -> float:
+    def dist(m1: np.ndarray, m2: np.ndarray) -> float:
         # sup over the wave-parameter set of the L^2 far-field difference
-        diffs = f1.measurement - f2.measurement
-        return float(max(np.linalg.norm(d.ravel()) for d in diffs))
+        return float(max(np.linalg.norm(d.ravel()) for d in m1 - m2))
 
-    return forward, dist
+    def lower_bound(diffs: np.ndarray) -> np.ndarray:
+        # the same sup, summed in another order
+        return np.linalg.norm(diffs, axis=(2, 3)).max(axis=1)
+
+    return forward, dist, lower_bound
 
 
 @dataclass(frozen=True)
@@ -236,14 +251,27 @@ class InstabilityReport:
     eps0: float = math.nan
 
 
-def _min_norm_pair(results: list[_ForwardResult], dist) -> tuple[int, int, float]:
-    best = (0, 1, math.inf)
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            d = dist(results[i], results[j])
-            if d < best[2]:
-                best = (i, j, d)
-    return best
+def _min_norm_pair(measurements: list[np.ndarray], dist, lower_bound) -> tuple[int, int, float]:
+    """The pair i < j of smallest ``dist`` and that distance; among equal
+    distances the lexicographically first pair wins.
+
+    Pairs are visited in ascending order of ``lower_bound`` and ``dist`` is
+    taken only while the bound, shrunk by ``BOUND_SLACK``, can still reach
+    the best distance found, so the result is the exhaustive search's.
+    """
+    stack = np.stack(measurements)
+    rows, cols = np.triu_indices(len(measurements), 1)
+    bounds = np.concatenate(
+        [lower_bound(stack[i + 1 :] - stack[i]) for i in range(len(measurements) - 1)]
+    )
+    best = (math.inf, 0, 1)
+    for k in np.argsort(bounds, kind="stable"):
+        if bounds[k] * (1.0 - BOUND_SLACK) > best[0]:
+            break
+        i, j = int(rows[k]), int(cols[k])
+        best = min(best, (dist(measurements[i], measurements[j]), i, j))
+    d, i, j = best
+    return i, j, d
 
 
 def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
@@ -252,7 +280,7 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
     minimizing the measurement-space distance.  Deterministic: identical
     configs (seed included) give identical reports.
     """
-    forward, dist = _make_forward(cfg)
+    forward, dist, lower_bound = _make_forward(cfg)
     cls = cfg.shape_class()
     records = []
     fits = []
@@ -265,12 +293,12 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
         patterns = family.sample_patterns(rng, cfg.budget)
         built = [family.shape(p) for p in patterns]
         results = [forward(s) for s in built]
-        i, j, best = _min_norm_pair(results, dist)
+        i, j, best = _min_norm_pair([r.measurement for r in results], dist, lower_bound)
         floored = best < NORM_FLOOR
         best = max(best, NORM_FLOOR)
         d_h = hausdorff_distance(built[i], built[j], samples=DISTANCE_SAMPLES)
         res = hausdorff_resolution(built[i], built[j], samples=DISTANCE_SAMPLES)
-        eps_fits = [fit_envelope(np.abs(r.class_entries), r.class_degrees) for r in results]
+        eps_fits = [r.fit for r in results]
         alpha2 = min(f.alpha2 for f in eps_fits)
         c2 = max(f.c2_at(alpha2) for f in eps_fits)
         fits.extend(eps_fits)

@@ -20,13 +20,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Finite truncation of a weighted operator matrix with class constants."""
+    """Finite truncation of a weighted operator matrix with class constants;
+    ``envelope`` is the fit the constants came from, when they were fitted
+    (a ``conductivity.EnvelopeFit``)."""
 
     entries: np.ndarray
     degrees: np.ndarray
     c2: float
     alpha2: float
     p: float
+    envelope: object = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries)

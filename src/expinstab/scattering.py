@@ -159,15 +159,24 @@ def _log_weights(n: int) -> np.ndarray:
     return r
 
 
+def _distances(points: np.ndarray, curve: _Curve) -> tuple[np.ndarray, np.ndarray]:
+    """|x_i - y_j| and nu(y_j).(x_i - y_j) for points x_i and curve nodes y_j."""
+    dx = points[:, :1] - curve.points[:, 0]
+    dy = points[:, 1:] - curve.points[:, 1]
+    nu_dot = dx * curve.normals[:, 0]
+    nu_dot += dy * curve.normals[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx), nu_dot
+
+
 def _kernel_matrices(curve: _Curve, k: float, eta: float):
     """Log-split combined kernel: K1 * ln(4 sin^2) + K2, with trapezoid/log
     quadrature baked into the returned dense matrix."""
     n = curve.t.size
-    pts = curve.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    r, nu_dot = _distances(curve.points, curve)
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
-    nu_dot = np.einsum("ijk,jk->ij", diff, curve.normals)
     j0, j1, y0, y1 = special.jy01_kernel(k * r)
     jac_row = curve.jac[None, :]
 
@@ -232,13 +241,10 @@ class ScatteringSolution:
     def scattered_at(self, points: np.ndarray, direction_index: int = 0) -> np.ndarray:
         """Scattered field at exterior points for one incident direction."""
         k = self.k
-        pts = np.atleast_2d(points)
-        diff = pts[:, None, :] - self.curve.points[None, :, :]
-        r = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        r, nu_dot = _distances(np.atleast_2d(points), self.curve)
         j0, j1, y0, y1 = special.jy01_kernel(k * r)
         h0 = j0 + 1j * y0
         h1 = j1 + 1j * y1
-        nu_dot = np.einsum("ijk,jk->ij", diff, self.curve.normals)
         dl = (1j * k / 4.0) * h1 * nu_dot / r
         sl = (1j / 4.0) * h0
         weights = (2.0 * np.pi / self.curve.t.size) * self.curve.jac
@@ -301,4 +307,4 @@ def farfield_numeric(prob: ObstacleProblem, a: float | None = None) -> dict[floa
 def farfield_operator(matrix: FarFieldMatrix, p: float = 1.0) -> OperatorMatrix:
     """Far-field matrix as a weighted-class operator with fitted constants."""
     fit = fit_envelope(np.abs(matrix.entries), matrix.degrees)
-    return OperatorMatrix(matrix.entries, matrix.degrees, fit.c2, fit.alpha2, p)
+    return OperatorMatrix(matrix.entries, matrix.degrees, fit.c2, fit.alpha2, p, fit)

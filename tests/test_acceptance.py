@@ -234,12 +234,12 @@ def test_criterion_7_electrode_model():
     worst_sym, worst_kernel = 0.0, 0.0
     for _ in range(20):
         prob = InclusionProblem(smooth_inclusion(rng), 2.0, 16, 256)
-        dtn = dtn_numeric(prob)
-        r_mat = resistance_matrix(prob, cfg, dtn_matrix=dtn)
+        ntd = ntd_from_dtn(dtn_numeric(prob))
+        r_mat = resistance_matrix(prob, cfg, ntd_matrix=ntd)
         worst_sym = max(worst_sym, float(np.abs(r_mat - r_mat.T).max()))
         worst_kernel = max(worst_kernel, float(np.abs(r_mat @ np.ones(8)).max()))
         mats.append(r_mat)
-        ntds.append(ntd_from_dtn(dtn))
+        ntds.append(ntd)
     assert worst_sym <= 1e-10
     assert worst_kernel <= 1e-13  # exact kernel up to one rounding
     ratios = []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expinstab.conductivity import InclusionProblem, delta_dtn_weighted, fourier_degrees
 from expinstab.engine import (
@@ -9,6 +11,8 @@ from expinstab.engine import (
     ExperimentConfig,
     InstabilityReport,
     WitnessRecord,
+    _make_forward,
+    _min_norm_pair,
     fit_instability_exponent,
     run_instability,
 )
@@ -175,3 +179,76 @@ class TestCountedNet:
         )
         assert rec.net_log_bound == bound.log_bound
         assert rec.margin == rec.packing_log_count - bound.log_bound
+
+
+def exhaustive_pair(measurements, dist):
+    best = (0, 1, math.inf)
+    for i in range(len(measurements)):
+        for j in range(i + 1, len(measurements)):
+            d = dist(measurements[i], measurements[j])
+            if d < best[2]:
+                best = (i, j, d)
+    return best
+
+
+def draw_measurements(rng, layout, shape):
+    """A stack of measurements; the integer-valued layouts make pair
+    differences exact, so equal distances are bit-equal."""
+    if layout == "random":
+        return rng.normal(size=shape)
+    if layout == "duplicates":
+        stack = rng.normal(size=shape)
+        for k in range(1, shape[0]):
+            if rng.random() < 0.5:
+                stack[k] = stack[rng.integers(k)]
+        return stack
+    if layout == "ties":
+        # integer multiples of one integer matrix: |c_i - c_j| repeats over many pairs
+        coeffs = rng.integers(-2, 3, size=shape[0]).astype(float)
+        return coeffs.reshape((-1,) + (1,) * (len(shape) - 1)) * rng.integers(-2, 3, size=shape[1:])
+    # one_column: measurement k > 0 differs from measurement 0 in column
+    # (k-1) mod n only, by a signed permutation of one integer vector, so the
+    # pairs (0, k) tie in the column-norm bound, which equals their 2-norm
+    # up to rounding
+    stack = np.zeros(shape)
+    v = rng.integers(-9, 10, size=shape[-2]).astype(float)
+    for k in range(1, shape[0]):
+        stack[k, ..., (k - 1) % shape[-1]] = rng.permutation(v) * rng.choice([-1.0, 1.0], v.size)
+    return stack
+
+
+class TestPrunedPairSearch:
+    """The pruned witness search returns the exhaustive loop's (i, j, d)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        problem=st.sampled_from(["dtn", "farfield"]),
+        layout=st.sampled_from(["random", "duplicates", "ties", "one_column"]),
+        count=st.integers(2, 14),
+        size=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # an equal-bound tie whose first pair's 2-norm rounds below the bound
+    # while a later pair's is smaller still: without the slack the search
+    # stops after the first pair (found with numpy 2.4.6 on OpenBLAS 0.3.31)
+    @example(problem="dtn", layout="one_column", count=6, size=6, seed=0)
+    def test_equals_exhaustive_search(self, problem, layout, count, size, seed):
+        _, dist, lower_bound = _make_forward(ExperimentConfig(problem=problem))
+        rng = np.random.default_rng(seed)
+        if problem == "dtn":
+            stack = draw_measurements(rng, layout, (count, size, size))
+        else:
+            # far fields: complex, one matrix per wave parameter
+            stack = draw_measurements(rng, layout, (count, 2, size, size)) * (3.0 + 4.0j)
+            if layout == "random":
+                stack += 1j * rng.normal(size=stack.shape)
+        measurements = list(stack)
+        expected = exhaustive_pair(measurements, dist)
+        assert _min_norm_pair(measurements, dist, lower_bound) == expected
+
+    def test_equal_distances_go_to_the_first_pair(self):
+        # (0, 2) has the smaller bound and is measured first; (0, 1) ties it
+        _, dist, lower_bound = _make_forward(ExperimentConfig(problem="dtn"))
+        measurements = [np.zeros((2, 2)), np.array([[2.0, 0.0], [0.0, 0.0]]), -np.ones((2, 2))]
+        assert dist(measurements[0], measurements[1]) == dist(measurements[0], measurements[2])
+        assert _min_norm_pair(measurements, dist, lower_bound) == (0, 1, 2.0)
