@@ -22,11 +22,11 @@ from expinstab.conductivity import (
     ElectrodeConfig,
     InclusionProblem,
     SolverError,
-    delta_dtn_weighted,
     diagonal_decay_fit,
     dtn_numeric,
     ntd_from_dtn,
     resistance_matrix,
+    weighted_delta,
 )
 from expinstab.engine import ConfigError, ExperimentConfig, InstabilityReport, run_instability
 from expinstab.opnet import NetParams, net_size_log_bound
@@ -240,7 +240,7 @@ def _run_forward(cfg: ExperimentConfig, shape_file: str):
     shape = load_shape(shape_file)
     prob = InclusionProblem(shape, cfg.a, cfg.n_max, cfg.quad_nodes)
     dtn = dtn_numeric(prob)
-    weighted = delta_dtn_weighted(prob)
+    weighted = weighted_delta(dtn, prob.n_max)
     alpha_hat, c_hat, r2 = diagonal_decay_fit(weighted)
     fit_rows = [("alpha_hat", alpha_hat), ("c_hat", c_hat), ("r_squared", r2)]
     ecfg = ElectrodeConfig.equispaced(cfg.electrodes, cfg.electrode_coverage, cfg.electrode_z)

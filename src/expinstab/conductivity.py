@@ -200,12 +200,16 @@ def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
 
 
 def delta_dtn_weighted(prob: InclusionProblem, p: float = 1.0) -> OperatorMatrix:
+    """Weighted difference matrix of the problem's DtN map (see weighted_delta)."""
+    return weighted_delta(dtn_numeric(prob), prob.n_max, p)
+
+
+def weighted_delta(dtn: np.ndarray, n_max: int, p: float = 1.0) -> OperatorMatrix:
     """Weighted difference matrix b_jk = <(Lambda(D) - Lambda_0) e_j, e_k>
-    / sqrt((1+gamma_j)(1+gamma_k)) with class constants fitted on the fly."""
-    n_max = prob.n_max
+    / sqrt((1+gamma_j)(1+gamma_k)) of a computed DtN matrix, with class
+    constants fitted on the fly."""
     degrees = fourier_degrees(n_max)
-    full = dtn_numeric(prob)
-    delta = full - np.diag(degrees)
+    delta = dtn - np.diag(degrees)
     weights = 1.0 / np.sqrt(1.0 + degrees)
     entries = delta * np.outer(weights, weights)
     fit = fit_envelope(entries, degrees)

@@ -7,13 +7,17 @@ layer ansatz u^s = (D - i eta S) psi, eta = k, leading to the second-kind
 equation psi/2 + (K_D - i eta K_S) psi = -u^i on the boundary.  Kernels are
 split into a log part times ln(4 sin^2((t-tau)/2)) and a smooth remainder;
 the log part is integrated with the Martensen-Kussmaul trigonometric weights,
-which is spectrally accurate on smooth boundaries.  Far-field coefficients
+which is spectrally accurate on smooth boundaries.  Plane-wave phases stay
+real until the exp, 1j * (k * x @ d.T): the values equal the complex-GEMM form
+1j * k * x @ d.T, but an OpenBLAS complex GEMM slows the complex exp that
+follows it about 17-fold.  Far-field coefficients
 b_kl are projections of the far-field pattern on the circle Fourier basis;
 the closed-form disk series (Jacobi-Anger) is the accuracy oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,13 +175,43 @@ def _distances(points: np.ndarray, curve: _Curve) -> tuple[np.ndarray, np.ndarra
     return np.sqrt(dx, out=dx), nu_dot
 
 
+@functools.cache
+def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the node count alone: ln(4 sin^2((t_i - t_j)/2))
+    (0 on the diagonal), the log weights gathered as R_|i-j|, the flat indices
+    of the upper triangle with its diagonal, and the triangle position of each
+    (i, j) or (j, i)."""
+    weights = _log_weights(n)
+    t = 2.0 * np.pi * np.arange(n) / n
+    log_fac = np.log(4.0 * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2,
+                     where=~np.eye(n, dtype=bool), out=np.zeros((n, n)))
+    gathered = weights[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    rows, cols = np.triu_indices(n)
+    mirror = np.empty((n, n), dtype=np.intp)
+    mirror[rows, cols] = mirror[cols, rows] = np.arange(rows.size)
+    tables = (log_fac, gathered, rows * n + cols, mirror)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _symmetric_jy01(kr: np.ndarray):
+    """jy01_kernel of a bitwise-symmetric matrix from its upper triangle: the
+    series and asymptotic loops stop on the max over the same set of
+    arguments, so the values are the full-grid call's bit for bit."""
+    _, _, upper, mirror = _quadrature_tables(kr.shape[0])
+    return tuple(v[mirror] for v in special.jy01_kernel(np.take(kr, upper)))
+
+
 def _kernel_matrices(curve: _Curve, k: float, eta: float):
     """Log-split combined kernel: K1 * ln(4 sin^2) + K2, with trapezoid/log
     quadrature baked into the returned dense matrix."""
     n = curve.t.size
+    log_fac, r_weights, _, _ = _quadrature_tables(n)
     r, nu_dot = _distances(curve.points, curve)
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
-    j0, j1, y0, y1 = special.jy01_kernel(k * r)
+    # r is bitwise symmetric: its entries come from negated coordinate differences
+    j0, j1, y0, y1 = _symmetric_jy01(k * r)
     jac_row = curve.jac[None, :]
 
     # double layer: (ik/4) H1(kr) (nu(y).(x-y)/r) |x'(y)|
@@ -189,9 +223,6 @@ def _kernel_matrices(curve: _Curve, k: float, eta: float):
 
     k1 = kd1 - 1j * eta * ks1
     k_full = kd - 1j * eta * ks
-    dcoord = curve.t[:, None] - curve.t[None, :]
-    log_fac = np.log(4.0 * np.sin(0.5 * dcoord) ** 2, where=~np.eye(n, dtype=bool),
-                     out=np.zeros((n, n)))
     k2 = k_full - k1 * log_fac
     # analytic diagonal limits
     kd2_diag = curve.nu_dot_d2 / (4.0 * math.pi * curve.jac)
@@ -205,9 +236,7 @@ def _kernel_matrices(curve: _Curve, k: float, eta: float):
     # -J0(0)|x'|/(4 pi), and the log rule weights the diagonal too
     np.fill_diagonal(k1, 1j * eta * curve.jac / (4.0 * math.pi))
 
-    r_weights = _log_weights(n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    quad = r_weights[idx] * k1 + (2.0 * np.pi / n) * k2
+    quad = r_weights * k1 + (2.0 * np.pi / n) * k2
     return quad
 
 
@@ -231,7 +260,8 @@ class ScatteringSolution:
             angles = self.directions
         k = self.k
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-        phase = np.exp(-1j * k * xhat @ self.curve.points.T)
+        # real GEMM, then the phase: a complex GEMM first makes the exp 17x slower
+        phase = np.exp(-1j * (k * xhat @ self.curve.points.T))
         nudot = xhat @ self.curve.normals.T
         front = np.exp(1j * math.pi / 4.0) / math.sqrt(8.0 * math.pi * k)
         kernel = front * (-1j * k * nudot - 1j * self.eta) * phase
@@ -261,7 +291,8 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     system = 0.5 * np.eye(quad_nodes) + _kernel_matrices(curve, k, eta)
     omega = 2.0 * np.pi * np.arange(direction_count) / direction_count
     dirs = np.column_stack([np.cos(omega), np.sin(omega)])
-    rhs = -np.exp(1j * k * curve.points @ dirs.T)
+    # real GEMM, then the phase: a complex GEMM first makes the exp 17x slower
+    rhs = -np.exp(1j * (k * curve.points @ dirs.T))
     try:
         densities = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

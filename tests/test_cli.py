@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from expinstab import cli, shapes
+from expinstab import cli, conductivity, shapes
 from expinstab.cli import ConfigError, ExperimentConfig, config_text, parse_config, write_csv
 from expinstab.shapes import save_shape
 
@@ -131,6 +131,34 @@ class TestSubcommands:
         assert code == 0
         assert (tmp_path / "sc" / "farfield_magnitudes.csv").exists()
         assert (tmp_path / "sc" / "reciprocity.csv").exists()
+
+    def test_forward_solves_its_shape_once(self, tmp_path, monkeypatch):
+        theta = 2 * np.pi * np.arange(256) / 256
+        shape = shapes.Shape(
+            shapes.RADIAL_SUBGRAPH,
+            shapes.RadialProfile(0.1 * (1 + np.cos(3 * theta)), base_radius=0.5, amplitude_cap=0.25),
+        )
+        save_shape(shape, tmp_path / "shape.txt")
+        solve = conductivity.dtn_numeric
+        calls = []
+
+        def counted(prob):
+            calls.append(prob)
+            return solve(prob)
+
+        # cli imported the name itself, so both bindings are wrapped
+        monkeypatch.setattr(conductivity, "dtn_numeric", counted)
+        monkeypatch.setattr(cli, "dtn_numeric", counted)
+        code = cli.main([
+            "--out", str(tmp_path / "fwd"),
+            "forward", "--shape-file", str(tmp_path / "shape.txt"), "--a", "2.0", "--n-max", "6",
+        ])
+        assert code == 0
+        assert len(calls) == 1
+        # the weighted difference formed from that one solve is delta_dtn_weighted's
+        rows = (tmp_path / "fwd" / "decay_fit.csv").read_text().splitlines()[1:]
+        expected = conductivity.diagonal_decay_fit(conductivity.delta_dtn_weighted(calls[0]))
+        assert [float(r.split(",")[1]) for r in rows] == list(expected)
 
     def test_instability_deterministic_bytes(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -13,6 +13,12 @@ from expinstab.scattering import (
     farfield_numeric,
     farfield_operator,
     hankel_bound_check,
+    _curve,
+    _distances,
+    _kernel_matrices,
+    _log_weights,
+    _quadrature_tables,
+    _symmetric_jy01,
     reciprocity_residual,
     solve_scattering,
 )
@@ -149,6 +155,89 @@ class TestNumericFarField:
             reference = level if reference is None else max(reference, 0.0)
             assert level <= 2.0 * max(np.abs(sol.scattered_at(
                 2.0 * np.column_stack([np.cos(angles), np.sin(angles)]), 0)).max() * math.sqrt(2.0), 1e-12)
+
+
+def full_grid_kernel(curve, k, eta):
+    """The combined-field kernel as first written: Bessel functions on the
+    whole k*r grid, the log factor from the coordinate differences and the
+    log weights gathered per call."""
+    n = curve.t.size
+    r, nu_dot = _distances(curve.points, curve)
+    np.fill_diagonal(r, 1.0)
+    j0, j1, y0, y1 = special.jy01_kernel(k * r)
+    jac_row = curve.jac[None, :]
+    kd = (1j * k / 4.0) * (j1 + 1j * y1) * (nu_dot / r) * jac_row
+    kd1 = -(k / (4.0 * math.pi)) * j1 * (nu_dot / r) * jac_row
+    ks = (1j / 4.0) * (j0 + 1j * y0) * jac_row
+    ks1 = -(1.0 / (4.0 * math.pi)) * j0 * jac_row
+    k1 = kd1 - 1j * eta * ks1
+    k_full = kd - 1j * eta * ks
+    dcoord = curve.t[:, None] - curve.t[None, :]
+    log_fac = np.log(4.0 * np.sin(0.5 * dcoord) ** 2, where=~np.eye(n, dtype=bool),
+                     out=np.zeros((n, n)))
+    k2 = k_full - k1 * log_fac
+    kd2_diag = curve.nu_dot_d2 / (4.0 * math.pi * curve.jac)
+    ks2_diag = (
+        (1j / 4.0)
+        - special.EULER_GAMMA / (2.0 * math.pi)
+        - np.log(0.5 * k * curve.jac) / (2.0 * math.pi)
+    ) * curve.jac
+    np.fill_diagonal(k2, kd2_diag - 1j * eta * ks2_diag)
+    np.fill_diagonal(k1, 1j * eta * curve.jac / (4.0 * math.pi))
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return _log_weights(n)[idx] * k1 + (2.0 * np.pi / n) * k2
+
+
+class TestKernelBitIdentity:
+    """The mirrored Bessel grid, the cached quadrature tables and the real
+    phase arguments change no bit of the solver's arrays."""
+
+    @staticmethod
+    def bumpy_star():
+        theta = 2 * np.pi * np.arange(512) / 512
+        values = 0.2 * (1 + np.cos(3 * theta)) + 0.08 * (1 + np.sin(7 * theta + 0.4))
+        return obstacle(values)
+
+    @pytest.mark.parametrize("a", [1.0, 4.0])
+    def test_kernel_equals_full_grid_form(self, a):
+        k = math.sqrt(a)
+        curve = _curve(self.bumpy_star().profile, 64)
+        assert np.array_equal(_kernel_matrices(curve, k, k), full_grid_kernel(curve, k, k))
+        r, _ = _distances(curve.points, curve)
+        np.fill_diagonal(r, 1.0)
+        mirrored = _symmetric_jy01(k * r)
+        for ours, full in zip(mirrored, special.jy01_kernel(k * r)):
+            assert np.array_equal(ours, full)
+
+    @pytest.mark.parametrize("a", [1.0, 4.0])
+    def test_phases_equal_complex_gemm_form(self, a):
+        k = math.sqrt(a)
+        shape = self.bumpy_star()
+        sol = solve_scattering(shape, a, 64, 16)
+        curve = sol.curve
+        dirs = np.column_stack([np.cos(sol.directions), np.sin(sol.directions)])
+        system = 0.5 * np.eye(64) + full_grid_kernel(curve, k, k)
+        rhs = -np.exp(1j * k * curve.points @ dirs.T)
+        assert np.array_equal(sol.densities, np.linalg.solve(system, rhs))
+
+        angles = 2 * np.pi * np.arange(24) / 24
+        xhat = np.column_stack([np.cos(angles), np.sin(angles)])
+        phase = np.exp(-1j * k * xhat @ curve.points.T)
+        front = np.exp(1j * math.pi / 4.0) / math.sqrt(8.0 * math.pi * k)
+        kernel = front * (-1j * k * (xhat @ curve.normals.T) - 1j * k) * phase
+        weights = (2.0 * np.pi / 64) * curve.jac
+        expected = (kernel * weights[None, :]) @ sol.densities
+        assert np.array_equal(sol.far_field_grid(angles), expected)
+
+    def test_quadrature_tables_are_cached_and_read_only(self):
+        tables = _quadrature_tables(64)
+        assert _quadrature_tables(64) is tables
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table.flat[0] = 0
+        with pytest.raises(ValueError, match="even"):
+            _quadrature_tables(63)
 
 
 class TestL2Norm:
