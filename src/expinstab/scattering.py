@@ -10,7 +10,7 @@ the log part is integrated with the Martensen-Kussmaul trigonometric weights,
 which is spectrally accurate on smooth boundaries.  Plane-wave phases stay
 real until the exp, 1j * (k * x @ d.T): the values equal the complex-GEMM form
 1j * k * x @ d.T, but an OpenBLAS complex GEMM slows the complex exp that
-follows it about 17-fold.  Far-field coefficients
+follows it about 15-fold.  Far-field coefficients
 b_kl are projections of the far-field pattern on the circle Fourier basis;
 the closed-form disk series (Jacobi-Anger) is the accuracy oracle.
 """
@@ -260,7 +260,7 @@ class ScatteringSolution:
             angles = self.directions
         k = self.k
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-        # real GEMM, then the phase: a complex GEMM first makes the exp 17x slower
+        # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower
         phase = np.exp(-1j * (k * xhat @ self.curve.points.T))
         nudot = xhat @ self.curve.normals.T
         front = np.exp(1j * math.pi / 4.0) / math.sqrt(8.0 * math.pi * k)
@@ -291,7 +291,7 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     system = 0.5 * np.eye(quad_nodes) + _kernel_matrices(curve, k, eta)
     omega = 2.0 * np.pi * np.arange(direction_count) / direction_count
     dirs = np.column_stack([np.cos(omega), np.sin(omega)])
-    # real GEMM, then the phase: a complex GEMM first makes the exp 17x slower
+    # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower
     rhs = -np.exp(1j * (k * curve.points @ dirs.T))
     try:
         densities = np.linalg.solve(system, rhs)
