@@ -28,7 +28,7 @@ import numpy as np
 
 from expinstab import shapes
 from expinstab.opnet import OperatorMatrix
-from expinstab.shapes import RadialProfile, Shape
+from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
 
 MAX_INCLUSION_RADIUS = 0.8  # inclusions stay compactly inside B(0, 4/5)
 CONTRAST_GUARD = 1e-6
@@ -81,37 +81,10 @@ def dtn_concentric(rho: float, a: float, n_max: int) -> np.ndarray:
     return n * (1.0 - shrink) / (1.0 + shrink)
 
 
-@dataclass
-class _InterfaceGeometry:
-    points: np.ndarray      # (N, 2)
-    normals: np.ndarray     # (N, 2), outward
-    weights: np.ndarray     # (N,) trapezoid weights including |y'|
-    radius: np.ndarray      # (N,) distance to the disk center
-    angle: np.ndarray       # (N,) polar angle around the disk center
-    curvature: np.ndarray   # (N,)
-
-
-def _interface_geometry(prob: InclusionProblem) -> _InterfaceGeometry:
-    prof: RadialProfile = prob.shape.profile
-    n = prob.quad_nodes
-    rho, d_rho, dd_rho = shapes.radial_geometry(prof, n)
-    t = 2.0 * np.pi * np.arange(n) / n
-    ct, st = np.cos(t), np.sin(t)
-    cx, cy = prof.center
-    pts = np.column_stack([cx + rho * ct, cy + rho * st])
-    jac = np.sqrt(rho**2 + d_rho**2)
-    normals = np.column_stack([rho * ct + d_rho * st, rho * st - d_rho * ct]) / jac[:, None]
-    curvature = (rho**2 + 2.0 * d_rho**2 - rho * dd_rho) / jac**3
-    weights = (2.0 * np.pi / n) * jac
-    radius = np.hypot(pts[:, 0], pts[:, 1])
-    angle = np.arctan2(pts[:, 1], pts[:, 0])
-    return _InterfaceGeometry(pts, normals, weights, radius, angle, curvature)
-
-
-def _normal_quotients(geo: _InterfaceGeometry, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+def _normal_quotients(nodes: BoundaryNodes, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """nu(x_i).(x_i - p_j) / |x_i - p_j|^2 for interface nodes x_i and points p_j."""
-    x, y = geo.points[:, :1], geo.points[:, 1:]
-    nx, ny = geo.normals[:, :1], geo.normals[:, 1:]
+    x, y = nodes.points[:, :1], nodes.points[:, 1:]
+    nx, ny = nodes.normals[:, :1], nodes.normals[:, 1:]
     dx = x - px
     dy = y - py
     quot = nx * dx
@@ -124,39 +97,39 @@ def _normal_quotients(geo: _InterfaceGeometry, px: np.ndarray, py: np.ndarray) -
     return quot
 
 
-def _kstar_matrix(geo: _InterfaceGeometry) -> np.ndarray:
+def _kstar_matrix(nodes: BoundaryNodes) -> np.ndarray:
     """Weighted kernel of dG/dnu(x) for the disk Green's function:
     -(1/2pi) nu(x).(x-y)/|x-y|^2  +  (1/2pi) nu(x).(x-y*)/|x-y*|^2,
     times the trapezoid weight of y (1/2pi and the weights are one column scale)."""
-    x, y = geo.points[:, 0], geo.points[:, 1]
+    x, y = nodes.points[:, 0], nodes.points[:, 1]
     # image part: y* = y/|y|^2, smooth since |y*| >= 1/0.8 > |x|
-    r2 = geo.radius**2
-    kernel = _normal_quotients(geo, x / r2, y / r2)
-    log_part = _normal_quotients(geo, x, y)
+    r2 = np.hypot(x, y) ** 2
+    kernel = _normal_quotients(nodes, x / r2, y / r2)
+    log_part = _normal_quotients(nodes, x, y)
     # continuous diagonal limit of the log part: -kappa/(4 pi) once negated and scaled
-    np.fill_diagonal(log_part, 0.5 * geo.curvature)
+    np.fill_diagonal(log_part, 0.5 * nodes.curvature)
     kernel -= log_part
-    kernel *= geo.weights / (2.0 * np.pi)
+    kernel *= nodes.weights / (2.0 * np.pi)
     return kernel
 
 
-def _mode_traces(geo: _InterfaceGeometry, n_max: int):
+def _mode_traces(nodes: BoundaryNodes, n_max: int):
     """Harmonic extensions of the normalized circle modes and their normal
     derivatives at the interface points.
 
     Extension of cos/sin mode j is s^j cos(j tau)/sqrt(pi), of the constant
     1/sqrt(2 pi); columns follow fourier_degrees ordering.
     """
-    s = geo.radius
-    tau = geo.angle
+    s = np.hypot(nodes.points[:, 0], nodes.points[:, 1])
+    tau = np.arctan2(nodes.points[:, 1], nodes.points[:, 0])
     n_pts = s.size
     k = 2 * n_max + 1
     values = np.empty((n_pts, k))
     d_normal = np.empty((n_pts, k))
     e_s = np.column_stack([np.cos(tau), np.sin(tau)])
     e_t = np.column_stack([-np.sin(tau), np.cos(tau)])
-    nu_s = np.einsum("ik,ik->i", geo.normals, e_s)
-    nu_t = np.einsum("ik,ik->i", geo.normals, e_t)
+    nu_s = np.einsum("ik,ik->i", nodes.normals, e_s)
+    nu_t = np.einsum("ik,ik->i", nodes.normals, e_t)
     values[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
     d_normal[:, 0] = 0.0
     inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
@@ -183,11 +156,11 @@ def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
     base = np.diag(fourier_degrees(n_max))
     if prob.contrast == 1.0:
         return base
-    geo = _interface_geometry(prob)
-    kstar = _kstar_matrix(geo)
+    nodes = shapes.boundary_nodes(prob.shape.profile, prob.quad_nodes)
+    kstar = _kstar_matrix(nodes)
     lam_c = (prob.contrast + 1.0) / (2.0 * (prob.contrast - 1.0))
-    values, d_normal = _mode_traces(geo, n_max)
-    system = lam_c * np.eye(geo.points.shape[0]) + kstar
+    values, d_normal = _mode_traces(nodes, n_max)
+    system = lam_c * np.eye(prob.quad_nodes) + kstar
     try:
         phi = np.linalg.solve(system, -d_normal)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -195,7 +168,7 @@ def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
     residual = np.max(np.abs(system @ phi + d_normal))
     if not np.isfinite(residual) or residual > 1e-8:
         raise SolverError(f"transmission solve residual {residual:.2e}")
-    delta = -(values * geo.weights[:, None]).T @ phi
+    delta = -(values * nodes.weights[:, None]).T @ phi
     return base + delta
 
 

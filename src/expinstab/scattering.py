@@ -26,7 +26,7 @@ import numpy as np
 from expinstab import shapes, special
 from expinstab.conductivity import fit_envelope, fourier_degrees
 from expinstab.opnet import OperatorMatrix
-from expinstab.shapes import RadialProfile, Shape
+from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
 from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
 
 MAX_OBSTACLE_RADIUS = 1.8  # obstacles stay inside B(0, 9/5)
@@ -127,31 +127,6 @@ def hankel_bound_check(
 # boundary integral solver
 # ----------------------------------------------------------------------------
 
-@dataclass
-class _Curve:
-    t: np.ndarray
-    points: np.ndarray
-    d1: np.ndarray
-    jac: np.ndarray
-    normals: np.ndarray
-    nu_dot_d2: np.ndarray
-
-
-def _curve(profile: RadialProfile, n: int) -> _Curve:
-    rho, d_rho, dd_rho = shapes.radial_geometry(profile, n)
-    t = 2.0 * np.pi * np.arange(n) / n
-    ct, st = np.cos(t), np.sin(t)
-    cx, cy = profile.center
-    pts = np.column_stack([cx + rho * ct, cy + rho * st])
-    d1 = np.column_stack([d_rho * ct - rho * st, d_rho * st + rho * ct])
-    d2 = np.column_stack(
-        [dd_rho * ct - 2.0 * d_rho * st - rho * ct, dd_rho * st + 2.0 * d_rho * ct - rho * st]
-    )
-    jac = np.sqrt(np.einsum("ij,ij->i", d1, d1))
-    normals = np.column_stack([d1[:, 1], -d1[:, 0]]) / jac[:, None]
-    return _Curve(t, pts, d1, jac, normals, np.einsum("ij,ij->i", normals, d2))
-
-
 def _log_weights(n: int) -> np.ndarray:
     """Martensen-Kussmaul weights R_|i-j| for the ln(4 sin^2((t-s)/2)) factor."""
     if n % 2:
@@ -163,12 +138,12 @@ def _log_weights(n: int) -> np.ndarray:
     return r
 
 
-def _distances(points: np.ndarray, curve: _Curve) -> tuple[np.ndarray, np.ndarray]:
-    """|x_i - y_j| and nu(y_j).(x_i - y_j) for points x_i and curve nodes y_j."""
-    dx = points[:, :1] - curve.points[:, 0]
-    dy = points[:, 1:] - curve.points[:, 1]
-    nu_dot = dx * curve.normals[:, 0]
-    nu_dot += dy * curve.normals[:, 1]
+def _distances(points: np.ndarray, nodes: BoundaryNodes) -> tuple[np.ndarray, np.ndarray]:
+    """|x_i - y_j| and nu(y_j).(x_i - y_j) for points x_i and boundary nodes y_j."""
+    dx = points[:, :1] - nodes.points[:, 0]
+    dy = points[:, 1:] - nodes.points[:, 1]
+    nu_dot = dx * nodes.normals[:, 0]
+    nu_dot += dy * nodes.normals[:, 1]
     dx *= dx
     dy *= dy
     dx += dy
@@ -203,16 +178,16 @@ def _symmetric_jy01(kr: np.ndarray):
     return tuple(v[mirror] for v in special.jy01_kernel(np.take(kr, upper)))
 
 
-def _kernel_matrices(curve: _Curve, k: float, eta: float):
+def _kernel_matrices(nodes: BoundaryNodes, k: float, eta: float):
     """Log-split combined kernel: K1 * ln(4 sin^2) + K2, with trapezoid/log
     quadrature baked into the returned dense matrix."""
-    n = curve.t.size
+    n = nodes.jac.size
     log_fac, r_weights, _, _ = _quadrature_tables(n)
-    r, nu_dot = _distances(curve.points, curve)
+    r, nu_dot = _distances(nodes.points, nodes)
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
     # r is bitwise symmetric: its entries come from negated coordinate differences
     j0, j1, y0, y1 = _symmetric_jy01(k * r)
-    jac_row = curve.jac[None, :]
+    jac_row = nodes.jac[None, :]
 
     # double layer: (ik/4) H1(kr) (nu(y).(x-y)/r) |x'(y)|
     kd = (1j * k / 4.0) * (j1 + 1j * y1) * (nu_dot / r) * jac_row
@@ -224,17 +199,17 @@ def _kernel_matrices(curve: _Curve, k: float, eta: float):
     k1 = kd1 - 1j * eta * ks1
     k_full = kd - 1j * eta * ks
     k2 = k_full - k1 * log_fac
-    # analytic diagonal limits
-    kd2_diag = curve.nu_dot_d2 / (4.0 * math.pi * curve.jac)
+    # analytic diagonal limits; the double layer's is nu.x''/(4 pi |x'|) = -kappa |x'|/(4 pi)
+    kd2_diag = -nodes.curvature * nodes.jac / (4.0 * math.pi)
     ks2_diag = (
         (1j / 4.0)
         - special.EULER_GAMMA / (2.0 * math.pi)
-        - np.log(0.5 * k * curve.jac) / (2.0 * math.pi)
-    ) * curve.jac
+        - np.log(0.5 * k * nodes.jac) / (2.0 * math.pi)
+    ) * nodes.jac
     np.fill_diagonal(k2, kd2_diag - 1j * eta * ks2_diag)
     # K1 diagonal limits: double-layer part vanishes, single-layer part keeps
     # -J0(0)|x'|/(4 pi), and the log rule weights the diagonal too
-    np.fill_diagonal(k1, 1j * eta * curve.jac / (4.0 * math.pi))
+    np.fill_diagonal(k1, 1j * eta * nodes.jac / (4.0 * math.pi))
 
     quad = r_weights * k1 + (2.0 * np.pi / n) * k2
     return quad
@@ -244,7 +219,7 @@ def _kernel_matrices(curve: _Curve, k: float, eta: float):
 class ScatteringSolution:
     """Densities of one obstacle at one wave parameter, with evaluators."""
 
-    curve: _Curve
+    nodes: BoundaryNodes
     wave_param: float
     eta: float
     directions: np.ndarray
@@ -261,24 +236,22 @@ class ScatteringSolution:
         k = self.k
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
         # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower
-        phase = np.exp(-1j * (k * xhat @ self.curve.points.T))
-        nudot = xhat @ self.curve.normals.T
+        phase = np.exp(-1j * (k * xhat @ self.nodes.points.T))
+        nudot = xhat @ self.nodes.normals.T
         front = np.exp(1j * math.pi / 4.0) / math.sqrt(8.0 * math.pi * k)
         kernel = front * (-1j * k * nudot - 1j * self.eta) * phase
-        weights = (2.0 * np.pi / self.curve.t.size) * self.curve.jac
-        return (kernel * weights[None, :]) @ self.densities
+        return (kernel * self.nodes.weights[None, :]) @ self.densities
 
     def scattered_at(self, points: np.ndarray, direction_index: int = 0) -> np.ndarray:
         """Scattered field at exterior points for one incident direction."""
         k = self.k
-        r, nu_dot = _distances(np.atleast_2d(points), self.curve)
+        r, nu_dot = _distances(np.atleast_2d(points), self.nodes)
         j0, j1, y0, y1 = special.jy01_kernel(k * r)
         h0 = j0 + 1j * y0
         h1 = j1 + 1j * y1
         dl = (1j * k / 4.0) * h1 * nu_dot / r
         sl = (1j / 4.0) * h0
-        weights = (2.0 * np.pi / self.curve.t.size) * self.curve.jac
-        kernel = (dl - 1j * self.eta * sl) * weights[None, :]
+        kernel = (dl - 1j * self.eta * sl) * self.nodes.weights[None, :]
         return kernel @ self.densities[:, direction_index]
 
 
@@ -287,12 +260,12 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     incident directions."""
     k = math.sqrt(a)
     eta = k
-    curve = _curve(shape.profile, quad_nodes)
-    system = 0.5 * np.eye(quad_nodes) + _kernel_matrices(curve, k, eta)
+    nodes = shapes.boundary_nodes(shape.profile, quad_nodes)
+    system = 0.5 * np.eye(quad_nodes) + _kernel_matrices(nodes, k, eta)
     omega = 2.0 * np.pi * np.arange(direction_count) / direction_count
     dirs = np.column_stack([np.cos(omega), np.sin(omega)])
     # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower
-    rhs = -np.exp(1j * (k * curve.points @ dirs.T))
+    rhs = -np.exp(1j * (k * nodes.points @ dirs.T))
     try:
         densities = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -300,7 +273,7 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     residual = np.max(np.abs(system @ densities - rhs))
     if not np.isfinite(residual) or residual > 1e-8:
         raise ScatteringError(f"combined-field solve residual {residual:.2e}")
-    return ScatteringSolution(curve, a, eta, omega, densities)
+    return ScatteringSolution(nodes, a, eta, omega, densities)
 
 
 def _project_far_field(grid: np.ndarray, angles: np.ndarray, n_max: int) -> np.ndarray:

@@ -7,7 +7,8 @@ carries a resolution error proportional to the grid spacing.  The discrete
 C^m norm is a centered finite-difference surrogate of the true norm; it is
 exact on sampled polynomials of degree <= m up to difference-scheme order and
 under-approximates the true norm in general, so constructions elsewhere keep
-a 5% safety margin when targeting a norm bound.
+a 5% safety margin when targeting a norm bound.  boundary_nodes gives the
+quadrature nodes on which both Nystrom solvers discretize a radial boundary.
 """
 
 from __future__ import annotations
@@ -157,12 +158,34 @@ def resample_periodic(values: np.ndarray, n: int, derivative: int = 0) -> np.nda
     return np.fft.irfft(out_coef * n, n=n)
 
 
-def radial_geometry(profile: RadialProfile, n: int):
-    """Radius and its first two angular derivatives on n uniform nodes."""
+@dataclass(frozen=True)
+class BoundaryNodes:
+    """Periodic trapezoid discretization of a star-shaped boundary
+    x(t) = c + rho(t) (cos t, sin t) at t_i = 2*pi*i/n: the points, the
+    outward unit normals, the speed jac = |x'(t_i)|, the quadrature weights
+    (2*pi/n) * jac and the curvature (1/R on a circle of radius R)."""
+
+    points: np.ndarray     # (n, 2)
+    normals: np.ndarray    # (n, 2)
+    jac: np.ndarray
+    weights: np.ndarray
+    curvature: np.ndarray
+
+
+def boundary_nodes(profile: RadialProfile, n: int) -> BoundaryNodes:
+    """Boundary nodes of the radial profile's star-shaped region, from the
+    trigonometric interpolant of its samples and two angular derivatives."""
     rho = profile.base_radius + resample_periodic(profile.values, n)
     d_rho = resample_periodic(profile.values, n, derivative=1)
     dd_rho = resample_periodic(profile.values, n, derivative=2)
-    return rho, d_rho, dd_rho
+    t = 2.0 * np.pi * np.arange(n) / n
+    ct, st = np.cos(t), np.sin(t)
+    cx, cy = profile.center
+    points = np.column_stack([cx + rho * ct, cy + rho * st])
+    jac = np.sqrt(rho**2 + d_rho**2)
+    normals = np.column_stack([rho * ct + d_rho * st, rho * st - d_rho * ct]) / jac[:, None]
+    curvature = (rho**2 + 2.0 * d_rho**2 - rho * dd_rho) / jac**3
+    return BoundaryNodes(points, normals, jac, (2.0 * np.pi / n) * jac, curvature)
 
 
 def _flat_points(profile: FlatProfile, n: int) -> np.ndarray:

@@ -186,24 +186,6 @@ def bessel_y_sequence(n_max: int, x) -> np.ndarray:
     return out
 
 
-def _order(sequence, scalar, n: int, x):
-    """Order n of a sequence function, as a Python scalar for scalar x."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    seq = sequence(n, np.ravel(x))[n]
-    return scalar(seq[0]) if np.isscalar(x) else seq.reshape(np.shape(x))
-
-
-def bessel_j(n: int, x):
-    """Bessel function of the first kind, integer order n >= 0."""
-    return _order(bessel_j_sequence, float, n, x)
-
-
-def hankel1(n: int, x):
-    """Hankel function of the first kind: H_n^(1) = J_n + i Y_n."""
-    return _order(hankel1_sequence, complex, n, x)
-
-
 def hankel1_sequence(n_max: int, x) -> np.ndarray:
     return bessel_j_sequence(n_max, x) + 1j * bessel_y_sequence(n_max, x)
 

@@ -91,46 +91,24 @@ class BasisElement:
         return radial * self.trace(theta)
 
 
-def _half_circle_elements(kind: str, n_max: int) -> list[BasisElement]:
-    elements = []
-    if kind == HALF_DISK_NEUMANN:
-        elements.append(BasisElement(0, 0.0, "const", kind, 1))
-        degrees = range(1, n_max + 1)
-        parity = "cos"
-    else:
-        degrees = range(1, n_max + 1)
-        parity = "sin"
-    for j in degrees:
-        elements.append(BasisElement(0, float(j), parity, kind, 1))
-    return elements
-
-
 def enumerate_basis(spec: BasisSpec) -> list[BasisElement]:
     """All elements with degree <= n_max, in nondecreasing degree order."""
     kind, n_max = spec.domain_kind, spec.n_max
-    elements: list[BasisElement] = []
     if kind == FULL_CIRCLE:
-        elements.append(BasisElement(0, 0.0, "const", kind, 1))
+        terms = [(0.0, "const", 1)]
         for j in range(1, n_max + 1):
-            elements.append(BasisElement(0, float(j), "cos", kind, 2))
-            elements.append(BasisElement(0, float(j), "sin", kind, 2))
-    elif kind in (HALF_DISK_NEUMANN, HALF_DISK_DIRICHLET):
-        elements = _half_circle_elements(kind, n_max)
+            terms += [(float(j), "cos", 2), (float(j), "sin", 2)]
+    elif kind == HALF_DISK_NEUMANN:
+        terms = [(0.0, "const", 1)] + [(float(j), "cos", 1) for j in range(1, n_max + 1)]
+    elif kind == HALF_DISK_DIRICHLET:
+        terms = [(float(j), "sin", 1) for j in range(1, n_max + 1)]
     elif kind == SLIT_DISK_NEUMANN:
         # r^(k/2) cos(k theta / 2), k = 0, 1, 2, ...: Neumann on both slit sides
-        elements.append(BasisElement(0, 0.0, "const", kind, 1))
-        for k in range(1, 2 * n_max + 1):
-            elements.append(BasisElement(0, k / 2.0, "cos", kind, 1))
+        terms = [(0.0, "const", 1)] + [(k / 2.0, "cos", 1) for k in range(1, 2 * n_max + 1)]
     else:
         # r^(k/2) sin(k theta / 2), k = 1, 2, ...: vanishes on the slit
-        elements = [
-            BasisElement(0, k / 2.0, "sin", kind, 1) for k in range(1, 2 * n_max + 1)
-        ]
-    elements = [e for e in elements if e.degree <= n_max + 1e-12]
-    return [
-        BasisElement(i, e.degree, e.parity, e.domain_kind, e.multiplicity)
-        for i, e in enumerate(elements)
-    ]
+        terms = [(k / 2.0, "sin", 1) for k in range(1, 2 * n_max + 1)]
+    return [BasisElement(i, d, parity, kind, mult) for i, (d, parity, mult) in enumerate(terms)]
 
 
 def multiplicity_general_n(j: int, N: int) -> int:

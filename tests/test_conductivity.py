@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expinstab import shapes, spectral
 from expinstab.conductivity import (
+    CONTRAST_GUARD,
     ElectrodeConfig,
     InclusionProblem,
     _arc_multiplication_matrix,
-    _interface_geometry,
     _kstar_matrix,
     _shell_maxima,
     arc_mode_integrals,
@@ -87,35 +89,35 @@ class TestConcentric:
             dtn_concentric(0.9, 2.0, 4)
 
 
-def kstar_oracle(geo):
+def kstar_oracle(nodes):
     """_kstar_matrix entry by entry: (w_j/2pi) [nu(x_i).(x_i - y_j*)/|x_i - y_j*|^2
     - nu(x_i).(x_i - x_j)/|x_i - x_j|^2] with y_j* = x_j/|x_j|^2, and the
     curvature limit -kappa_i/(4 pi) in place of the log term on the diagonal."""
-    n = geo.weights.size
+    n = nodes.weights.size
     out = np.empty((n, n))
     for i in range(n):
-        x1, x2 = geo.points[i]
-        n1, n2 = geo.normals[i]
+        x1, x2 = nodes.points[i]
+        n1, n2 = nodes.normals[i]
         for j in range(n):
-            y1, y2 = geo.points[j]
+            y1, y2 = nodes.points[j]
             s = y1 * y1 + y2 * y2
             d1, d2 = x1 - y1 / s, x2 - y2 / s
             image = (n1 * d1 + n2 * d2) / (d1 * d1 + d2 * d2) / (2.0 * math.pi)
             if i == j:
-                log_term = -geo.curvature[i] / (4.0 * math.pi)
+                log_term = -nodes.curvature[i] / (4.0 * math.pi)
             else:
                 d1, d2 = x1 - y1, x2 - y2
                 log_term = -(n1 * d1 + n2 * d2) / (d1 * d1 + d2 * d2) / (2.0 * math.pi)
-            out[i, j] = (log_term + image) * geo.weights[j]
+            out[i, j] = (log_term + image) * nodes.weights[j]
     return out
 
 
 class TestDtnNumeric:
     def test_kernel_against_scalar_oracle(self):
         prob = InclusionProblem(smooth_inclusion(np.random.default_rng(9)), 2.0, 8, 32)
-        geo = _interface_geometry(prob)
-        expected = kstar_oracle(geo)
-        assert np.abs(_kstar_matrix(geo) - expected).max() <= 1e-15 * np.abs(expected).max()
+        nodes = shapes.boundary_nodes(prob.shape.profile, prob.quad_nodes)
+        expected = kstar_oracle(nodes)
+        assert np.abs(_kstar_matrix(nodes) - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_concentric_oracle(self):
         prob = InclusionProblem(disk_shape(np.zeros(2048)), 2.0, 8, 256)
@@ -126,6 +128,17 @@ class TestDtnNumeric:
         assert rel.max() <= 1e-10
         off = mat - np.diag(np.diag(mat))
         assert np.abs(off).max() <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        radius=st.floats(0.1, 0.75),
+        contrast=st.floats(0.2, 5.0).filter(lambda a: a == 1.0 or abs(a - 1.0) >= CONTRAST_GUARD),
+    )
+    def test_concentric_at_random_radius_and_contrast(self, radius, contrast):
+        prob = InclusionProblem(disk_shape(np.zeros(64), r=radius), contrast, 8, 64)
+        lam = dtn_concentric(radius, contrast, 8)
+        expected = np.diag(np.concatenate([[lam[0]], np.repeat(lam[1:], 2)]))
+        assert np.abs(dtn_numeric(prob) - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_unit_contrast_returns_homogeneous_matrix(self):
         rng = np.random.default_rng(0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expinstab import shapes, special
 from expinstab.scattering import (
@@ -13,7 +15,6 @@ from expinstab.scattering import (
     farfield_numeric,
     farfield_operator,
     hankel_bound_check,
-    _curve,
     _distances,
     _kernel_matrices,
     _log_weights,
@@ -125,6 +126,14 @@ class TestNumericFarField:
         ref = farfield_disk(1.0, a, 12)
         assert np.abs(num.entries - ref.entries).max() <= 1e-6
 
+    @settings(max_examples=30, deadline=None)
+    @given(radius=st.floats(0.3, 1.5), a=st.floats(0.5, 9.0))
+    def test_disk_at_random_radius_and_wave_parameter(self, radius, a):
+        prob = ObstacleProblem(obstacle(np.zeros(64), r=radius), (a,), 8, 64, 32)
+        num = farfield_numeric(prob)[a]
+        ref = farfield_disk(radius, a, 8)
+        assert np.abs(num.entries - ref.entries).max() <= 1e-12 * np.abs(ref.entries).max()
+
     def test_reciprocity_on_random_shapes(self):
         rng = np.random.default_rng(0)
         for _ in range(3):
@@ -157,33 +166,34 @@ class TestNumericFarField:
                 2.0 * np.column_stack([np.cos(angles), np.sin(angles)]), 0)).max() * math.sqrt(2.0), 1e-12)
 
 
-def full_grid_kernel(curve, k, eta):
+def full_grid_kernel(nodes, k, eta):
     """The combined-field kernel as first written: Bessel functions on the
     whole k*r grid, the log factor from the coordinate differences and the
     log weights gathered per call."""
-    n = curve.t.size
-    r, nu_dot = _distances(curve.points, curve)
+    n = nodes.jac.size
+    t = 2.0 * np.pi * np.arange(n) / n
+    r, nu_dot = _distances(nodes.points, nodes)
     np.fill_diagonal(r, 1.0)
     j0, j1, y0, y1 = special.jy01_kernel(k * r)
-    jac_row = curve.jac[None, :]
+    jac_row = nodes.jac[None, :]
     kd = (1j * k / 4.0) * (j1 + 1j * y1) * (nu_dot / r) * jac_row
     kd1 = -(k / (4.0 * math.pi)) * j1 * (nu_dot / r) * jac_row
     ks = (1j / 4.0) * (j0 + 1j * y0) * jac_row
     ks1 = -(1.0 / (4.0 * math.pi)) * j0 * jac_row
     k1 = kd1 - 1j * eta * ks1
     k_full = kd - 1j * eta * ks
-    dcoord = curve.t[:, None] - curve.t[None, :]
+    dcoord = t[:, None] - t[None, :]
     log_fac = np.log(4.0 * np.sin(0.5 * dcoord) ** 2, where=~np.eye(n, dtype=bool),
                      out=np.zeros((n, n)))
     k2 = k_full - k1 * log_fac
-    kd2_diag = curve.nu_dot_d2 / (4.0 * math.pi * curve.jac)
+    kd2_diag = -nodes.curvature * nodes.jac / (4.0 * math.pi)
     ks2_diag = (
         (1j / 4.0)
         - special.EULER_GAMMA / (2.0 * math.pi)
-        - np.log(0.5 * k * curve.jac) / (2.0 * math.pi)
-    ) * curve.jac
+        - np.log(0.5 * k * nodes.jac) / (2.0 * math.pi)
+    ) * nodes.jac
     np.fill_diagonal(k2, kd2_diag - 1j * eta * ks2_diag)
-    np.fill_diagonal(k1, 1j * eta * curve.jac / (4.0 * math.pi))
+    np.fill_diagonal(k1, 1j * eta * nodes.jac / (4.0 * math.pi))
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return _log_weights(n)[idx] * k1 + (2.0 * np.pi / n) * k2
 
@@ -201,9 +211,9 @@ class TestKernelBitIdentity:
     @pytest.mark.parametrize("a", [1.0, 4.0])
     def test_kernel_equals_full_grid_form(self, a):
         k = math.sqrt(a)
-        curve = _curve(self.bumpy_star().profile, 64)
-        assert np.array_equal(_kernel_matrices(curve, k, k), full_grid_kernel(curve, k, k))
-        r, _ = _distances(curve.points, curve)
+        nodes = shapes.boundary_nodes(self.bumpy_star().profile, 64)
+        assert np.array_equal(_kernel_matrices(nodes, k, k), full_grid_kernel(nodes, k, k))
+        r, _ = _distances(nodes.points, nodes)
         np.fill_diagonal(r, 1.0)
         mirrored = _symmetric_jy01(k * r)
         for ours, full in zip(mirrored, special.jy01_kernel(k * r)):
@@ -214,18 +224,18 @@ class TestKernelBitIdentity:
         k = math.sqrt(a)
         shape = self.bumpy_star()
         sol = solve_scattering(shape, a, 64, 16)
-        curve = sol.curve
+        nodes = sol.nodes
         dirs = np.column_stack([np.cos(sol.directions), np.sin(sol.directions)])
-        system = 0.5 * np.eye(64) + full_grid_kernel(curve, k, k)
-        rhs = -np.exp(1j * k * curve.points @ dirs.T)
+        system = 0.5 * np.eye(64) + full_grid_kernel(nodes, k, k)
+        rhs = -np.exp(1j * k * nodes.points @ dirs.T)
         assert np.array_equal(sol.densities, np.linalg.solve(system, rhs))
 
         angles = 2 * np.pi * np.arange(24) / 24
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
-        phase = np.exp(-1j * k * xhat @ curve.points.T)
+        phase = np.exp(-1j * k * xhat @ nodes.points.T)
         front = np.exp(1j * math.pi / 4.0) / math.sqrt(8.0 * math.pi * k)
-        kernel = front * (-1j * k * (xhat @ curve.normals.T) - 1j * k) * phase
-        weights = (2.0 * np.pi / 64) * curve.jac
+        kernel = front * (-1j * k * (xhat @ nodes.normals.T) - 1j * k) * phase
+        weights = (2.0 * np.pi / 64) * nodes.jac
         expected = (kernel * weights[None, :]) @ sol.densities
         assert np.array_equal(sol.far_field_grid(angles), expected)
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expinstab import shapes
 from expinstab.shapes import (
@@ -176,6 +178,27 @@ class TestMembership:
         s = flat_shape(vals)
         check = validate_membership(s, m=1, beta=10.0, eps=0.1)
         assert not check.ok and check.reason == "endpoint"
+
+
+class TestBoundaryNodes:
+    """On an off-centre circle of radius R the nodes are known in closed form."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        base=st.floats(0.05, 2.0),
+        height=st.floats(0.0, 0.25),
+        cx=st.floats(-1.0, 1.0),
+        cy=st.floats(-1.0, 1.0),
+        n=st.integers(8, 512),
+    )
+    def test_constant_profile_is_a_circle(self, base, height, cx, cy, n):
+        prof = RadialProfile(np.full(64, height), base_radius=base, center=(cx, cy))
+        nodes = shapes.boundary_nodes(prof, n)
+        radius = base + height
+        assert np.abs(nodes.jac - radius).max() <= 1e-14 * radius
+        assert np.abs(nodes.curvature * radius - 1.0).max() <= 1e-14
+        assert np.abs(nodes.normals - (nodes.points - (cx, cy)) / radius).max() <= 1e-14
+        assert nodes.weights.sum() == pytest.approx(2.0 * np.pi * radius, rel=1e-14)
 
 
 class TestSerialization:
