@@ -17,6 +17,7 @@ from expinstab.conductivity import (
     diagonal_decay_fit,
     dtn_concentric,
     dtn_numeric,
+    ntd_from_dtn,
     resistance_matrix,
 )
 
@@ -47,8 +48,8 @@ vals -= vals.min()
 vals *= 0.1 / vals.max()
 bumpy = shapes.Shape(shapes.RADIAL_SUBGRAPH, shapes.RadialProfile(vals, base_radius=0.5))
 cfg = ElectrodeConfig.equispaced(8, 0.5, 0.1)
-r_hom = resistance_matrix(InclusionProblem(disk, 2.0, 16, 256), cfg)
-r_inc = resistance_matrix(InclusionProblem(bumpy, 2.0, 16, 256), cfg)
+r_hom = resistance_matrix(ntd_from_dtn(dtn_numeric(InclusionProblem(disk, 2.0, 16, 256))), cfg)
+r_inc = resistance_matrix(ntd_from_dtn(dtn_numeric(InclusionProblem(bumpy, 2.0, 16, 256))), cfg)
 print("\ncomplete electrode model (L = 8 arcs, z = 0.1):")
 print(f"  symmetry defect       : {np.abs(r_inc - r_inc.T).max():.2e}")
 print(f"  R [1]                 : {np.abs(r_inc @ np.ones(8)).max():.2e}")

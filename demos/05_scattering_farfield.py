@@ -24,7 +24,7 @@ disk = shapes.Shape(
 )
 for a in (1.0, 4.0):
     prob = ObstacleProblem(disk, (a,), n_max=12, quad_nodes=192, direction_count=48)
-    num = farfield_numeric(prob, a=a)[a]
+    num = farfield_numeric(prob)[a]
     ref = farfield_disk(1.0, a, 12)
     print(
         f"a = {a}: |numeric - closed form| = {np.abs(num.entries - ref.entries).max():.2e}, "

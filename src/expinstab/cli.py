@@ -1,6 +1,10 @@
 """Command-line front end: config parsing, deterministic CSV output, and the
 pack / basis / net / forward / scatter / instability subcommands.
 
+Each subcommand returns its tables, ``{file name: (header, rows)}``; ``main``
+writes them, then the config echo, to files under ``--out`` or, without
+``--out``, prints the same bytes to stdout in the same order.
+
 Configs are plain key=value text ('#' comments); every key has a default, so
 an empty file is a valid all-defaults config.  All output files use LF line
 endings and 17-significant-digit floats, so identical (config, seed) runs are
@@ -28,9 +32,9 @@ from expinstab.conductivity import (
     resistance_matrix,
     weighted_delta,
 )
-from expinstab.engine import ConfigError, ExperimentConfig, InstabilityReport, run_instability
+from expinstab.engine import ConfigError, ExperimentConfig, run_instability
 from expinstab.opnet import NetParams, net_size_log_bound
-from expinstab.scattering import ObstacleProblem, ScatteringError, farfield_numeric, farfield_operator
+from expinstab.scattering import ObstacleProblem, farfield_numeric, farfield_operator
 from expinstab.shapes import load_shape
 
 KEYS = tuple(f.name for f in fields(ExperimentConfig))
@@ -108,25 +112,21 @@ def config_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
+    return "".join(",".join(format_value(v) for v in line) + "\n" for line in [header, *rows])
+
+
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     """Deterministic CSV: fixed column order, 17-significant-digit floats,
     LF line endings."""
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
+    path.write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
 
 
-def emit_matrix_csv(path: Path, matrix: np.ndarray) -> None:
-    """Matrix entries as (row, col, value) — complex values add an imag column."""
-    rows = []
-    is_complex = np.iscomplexobj(matrix)
-    header = ["row", "col", "value", "imag"] if is_complex else ["row", "col", "value"]
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            v = matrix[i, j]
-            rows.append((i, j, float(v.real), float(v.imag)) if is_complex else (i, j, float(v)))
-    write_csv(path, header, rows)
+Tables = dict[str, tuple[list[str], list[tuple]]]
+
+
+def _matrix_table(matrix: np.ndarray) -> tuple[list[str], list[tuple]]:
+    return ["row", "col", "value"], [(i, j, v) for (i, j), v in np.ndenumerate(matrix)]
 
 
 REPORT_HEADER = [
@@ -147,44 +147,11 @@ REPORT_HEADER = [
 ]
 
 
-def emit_report_csv(path: Path, report: InstabilityReport) -> None:
-    rows = [
-        tuple(getattr(r, name) for name in REPORT_HEADER)
-        for r in report.records
-    ]
-    write_csv(path, REPORT_HEADER, rows)
-
-
-def emit_report_plot_data(path: Path, report: InstabilityReport) -> None:
-    """Two columns: log(1/eps) and log(-log ||dF||)."""
-    rows = []
-    for r in report.records:
-        if 0.0 < r.op_norm_diff < 1.0:
-            rows.append((math.log(1.0 / r.eps), math.log(-math.log(r.op_norm_diff))))
-    write_csv(path, ["log_inv_eps", "log_neg_log_norm"], rows)
-
-
 # ----------------------------------------------------------------------------
-# subcommands
+# subcommands: (cfg, shape file or None) -> tables
 # ----------------------------------------------------------------------------
 
-def _out_dir(cfg: ExperimentConfig) -> Path | None:
-    if not cfg.out:
-        return None
-    path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _echo_config(cfg: ExperimentConfig, out: Path | None) -> None:
-    text = config_text(cfg)
-    if out is not None:
-        (out / "config.echo").write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_pack(cfg: ExperimentConfig) -> list[tuple]:
+def _cmd_pack(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     cls = packing.ShapeClass(
         kind=cfg.kind, base=cfg.base_radius, m=cfg.m, beta=cfg.beta, grid_size=cfg.grid_size
     )
@@ -204,18 +171,24 @@ def _cmd_pack(cfg: ExperimentConfig) -> list[tuple]:
                 continue
             min_pair = min(min_pair, shapes.hausdorff_distance(shape, other, samples=samples))
         rows.append((pat, to_base, min_pair))
-    return rows
+    return {"pack.csv": (["pattern_id", "hausdorff_to_base", "min_pairwise_sampled"], rows)}
 
 
-def _cmd_basis(cfg: ExperimentConfig):
-    spec = spectral.BasisSpec(cfg.domain, n_max=cfg.n_max)
-    elements = spectral.enumerate_basis(spec)
-    degree_rows = [(e.index, e.degree, e.parity, e.multiplicity) for e in elements]
-    decay_rows = [(e.degree, spectral.interior_decay(e, cfg.r0)) for e in elements]
-    return degree_rows, decay_rows
+def _cmd_basis(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
+    elements = spectral.enumerate_basis(spectral.BasisSpec(cfg.domain, n_max=cfg.n_max))
+    return {
+        "basis_degrees.csv": (
+            ["index", "degree", "parity", "multiplicity"],
+            [(e.index, e.degree, e.parity, e.multiplicity) for e in elements],
+        ),
+        "basis_decay.csv": (
+            ["degree", "interior_decay"],
+            [(e.degree, spectral.interior_decay(e, cfg.r0)) for e in elements],
+        ),
+    }
 
 
-def _cmd_net(cfg: ExperimentConfig) -> list[tuple]:
+def _cmd_net(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     rows = []
     for delta in cfg.delta:
         params = NetParams.for_delta(delta, cfg.c2, cfg.alpha2, cfg.p)
@@ -233,45 +206,82 @@ def _cmd_net(cfg: ExperimentConfig) -> list[tuple]:
                 bound.log_bound,
             )
         )
-    return rows
+    header = ["delta", "n_tilde", "delta_prime", "psi_count", "pair_count", "log_bound"]
+    return {"net.csv": (header, rows)}
 
 
-def _run_forward(cfg: ExperimentConfig, shape_file: str):
-    shape = load_shape(shape_file)
-    prob = InclusionProblem(shape, cfg.a, cfg.n_max, cfg.quad_nodes)
+def _cmd_forward(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
+    prob = InclusionProblem(load_shape(shape_file), cfg.a, cfg.n_max, cfg.quad_nodes)
     dtn = dtn_numeric(prob)
-    weighted = weighted_delta(dtn, prob.n_max)
-    alpha_hat, c_hat, r2 = diagonal_decay_fit(weighted)
+    alpha_hat, c_hat, r2 = diagonal_decay_fit(weighted_delta(dtn, prob.n_max))
     fit_rows = [("alpha_hat", alpha_hat), ("c_hat", c_hat), ("r_squared", r2)]
     ecfg = ElectrodeConfig.equispaced(cfg.electrodes, cfg.electrode_coverage, cfg.electrode_z)
-    r_mat = resistance_matrix(prob, ecfg, ntd_matrix=ntd_from_dtn(dtn))
-    return dtn, fit_rows, r_mat
+    return {
+        "dtn.csv": _matrix_table(dtn),
+        "decay_fit.csv": (["name", "value"], fit_rows),
+        "resistance.csv": _matrix_table(resistance_matrix(ntd_from_dtn(dtn), ecfg)),
+    }
 
 
-def _run_scatter(cfg: ExperimentConfig, shape_file: str):
-    shape = load_shape(shape_file)
+def _cmd_scatter(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     prob = ObstacleProblem(
-        shape, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions
+        load_shape(shape_file), cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions
     )
     fields = farfield_numeric(prob)
     mag_rows, meta_rows = [], []
     for a in cfg.a_list:
         mat = fields[a]
-        for i in range(mat.entries.shape[0]):
-            for j in range(mat.entries.shape[1]):
-                mag_rows.append((a, i, j, abs(mat.entries[i, j])))
+        # scalar abs: the array np.abs can differ in the last bit
+        mag_rows += [(a, i, j, abs(v)) for (i, j), v in np.ndenumerate(mat.entries)]
         op = farfield_operator(mat)
         meta_rows.append((a, mat.reciprocity_residual, op.c2, op.alpha2))
-    return mag_rows, meta_rows
+    return {
+        "farfield_magnitudes.csv": (["a", "row", "col", "abs_value"], mag_rows),
+        "reciprocity.csv": (["a", "residual", "c2_hat", "alpha2_hat"], meta_rows),
+    }
 
 
+def _cmd_instability(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
+    report = run_instability(cfg)
+    return {
+        "report.csv": (
+            REPORT_HEADER,
+            [tuple(getattr(r, name) for name in REPORT_HEADER) for r in report.records],
+        ),
+        # log(1/eps) against log(-log ||dF||)
+        "plot_data.csv": (
+            ["log_inv_eps", "log_neg_log_norm"],
+            [
+                (math.log(1.0 / r.eps), math.log(-math.log(r.op_norm_diff)))
+                for r in report.records
+                if 0.0 < r.op_norm_diff < 1.0
+            ],
+        ),
+        "summary.csv": (
+            ["name", "value"],
+            [
+                ("problem", report.problem),
+                ("witness_pairs", "empirical_minimum_over_budget"),
+                ("q_hat", report.q_hat),
+                ("r_squared", report.r_squared),
+                ("theoretical_exponent", report.theoretical_exponent),
+                ("class_c2", report.class_c2),
+                ("class_alpha2", report.class_alpha2),
+                ("eps0", report.eps0),
+                ("seed", report.seed),
+            ],
+        ),
+    }
+
+
+# name -> (help, function, whether it needs --out)
 SUBCOMMANDS = {
-    "pack": "build a packing family and sample it",
-    "basis": "degree tables and decay curves",
-    "net": "net parameters and size bounds",
-    "forward": "DtN and electrode forward maps",
-    "scatter": "far-field matrices",
-    "instability": "end-to-end instability run",
+    "pack": ("build a packing family and sample it", _cmd_pack, False),
+    "basis": ("degree tables and decay curves", _cmd_basis, False),
+    "net": ("net parameters and size bounds", _cmd_net, False),
+    "forward": ("DtN and electrode forward maps", _cmd_forward, True),
+    "scatter": ("far-field matrices", _cmd_scatter, False),
+    "instability": ("end-to-end instability run", _cmd_instability, True),
 }
 
 
@@ -289,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in SUBCOMMANDS.items():
+    for name, (text, _, _) in SUBCOMMANDS.items():
         p_sub = sub.add_parser(name, help=text, parents=[settings], allow_abbrev=False)
         if name in ("forward", "scatter"):
             p_sub.add_argument("--shape-file", required=True)
@@ -308,71 +318,29 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    _, command, needs_out = SUBCOMMANDS[args.command]
     try:
-        if args.command in ("forward", "instability") and not cfg.out:
+        if needs_out and not cfg.out:
             raise ConfigError(f"{args.command} requires --out")
-        out = _out_dir(cfg)
-        if args.command == "pack":
-            rows = _cmd_pack(cfg)
-            _write_or_print(out, "pack.csv", ["pattern_id", "hausdorff_to_base", "min_pairwise_sampled"], rows)
-        elif args.command == "basis":
-            degree_rows, decay_rows = _cmd_basis(cfg)
-            _write_or_print(out, "basis_degrees.csv", ["index", "degree", "parity", "multiplicity"], degree_rows)
-            _write_or_print(out, "basis_decay.csv", ["degree", "interior_decay"], decay_rows)
-        elif args.command == "net":
-            rows = _cmd_net(cfg)
-            _write_or_print(
-                out, "net.csv",
-                ["delta", "n_tilde", "delta_prime", "psi_count", "pair_count", "log_bound"],
-                rows,
-            )
-        elif args.command == "forward":
-            dtn, fit_rows, r_mat = _run_forward(cfg, args.shape_file)
-            emit_matrix_csv(out / "dtn.csv", dtn)
-            write_csv(out / "decay_fit.csv", ["name", "value"], fit_rows)
-            emit_matrix_csv(out / "resistance.csv", r_mat)
-        elif args.command == "scatter":
-            mag_rows, meta_rows = _run_scatter(cfg, args.shape_file)
-            _write_or_print(out, "farfield_magnitudes.csv", ["a", "row", "col", "abs_value"], mag_rows)
-            _write_or_print(
-                out, "reciprocity.csv", ["a", "residual", "c2_hat", "alpha2_hat"], meta_rows
-            )
-        elif args.command == "instability":
-            report = run_instability(cfg)
-            emit_report_csv(out / "report.csv", report)
-            emit_report_plot_data(out / "plot_data.csv", report)
-            write_csv(
-                out / "summary.csv",
-                ["name", "value"],
-                [
-                    ("problem", report.problem),
-                    ("witness_pairs", "empirical_minimum_over_budget"),
-                    ("q_hat", report.q_hat),
-                    ("r_squared", report.r_squared),
-                    ("theoretical_exponent", report.theoretical_exponent),
-                    ("class_c2", report.class_c2),
-                    ("class_alpha2", report.class_alpha2),
-                    ("eps0", report.eps0),
-                    ("seed", report.seed),
-                ],
-            )
-        _echo_config(cfg, out)
+        out = Path(cfg.out) if cfg.out else None
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in command(cfg, getattr(args, "shape_file", None)).items():
+            if out is None:
+                sys.stdout.write(_csv_text(header, rows))
+            else:
+                write_csv(out / name, header, rows)
+        if out is None:
+            sys.stdout.write(config_text(cfg))
+        else:
+            (out / "config.echo").write_text(config_text(cfg), encoding="utf-8", newline="\n")
     except (ConfigError, OSError, shapes.ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ScatteringError, np.linalg.LinAlgError) as exc:
+    except (SolverError, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _write_or_print(out: Path | None, name: str, header: list[str], rows: list[tuple]) -> None:
-    if out is not None:
-        write_csv(out / name, header, rows)
-    else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(format_value(v) for v in row) + "\n")
 
 
 if __name__ == "__main__":

@@ -338,24 +338,18 @@ def _arc_multiplication_matrix(arc: tuple[float, float], n_max: int) -> np.ndarr
     return x
 
 
-def resistance_matrix(
-    prob: InclusionProblem,
-    cfg: ElectrodeConfig,
-    ntd_matrix: np.ndarray | None = None,
-) -> np.ndarray:
+def resistance_matrix(ntd_matrix: np.ndarray, cfg: ElectrodeConfig) -> np.ndarray:
     """L x L resistance matrix of the complete electrode model.
 
-    Solves (Id + K(D)) phi = I_tilde in the truncated Fourier space, where
-    K(D) applies the Neumann-to-Dirichlet map arc-wise with impedance
-    weights, then assembles V from arc averages of the resulting potential;
-    voltages are normalized to sum to zero and R annihilates constants.
-    ``ntd_matrix`` is ``ntd_from_dtn(dtn_numeric(prob))``, computed when not
-    given.
+    ``ntd_matrix`` is ``ntd_from_dtn(dtn_numeric(prob))``: the 2 n_max x
+    2 n_max mean-zero block, which fixes the truncation n_max.  Solves
+    (Id + K(D)) phi = I_tilde in the truncated Fourier space, where K(D)
+    applies the Neumann-to-Dirichlet map arc-wise with impedance weights,
+    then assembles V from arc averages of the resulting potential; voltages
+    are normalized to sum to zero and R annihilates constants.
     """
-    if ntd_matrix is None:
-        ntd_matrix = ntd_from_dtn(dtn_numeric(prob))
-    n_max = prob.n_max
-    size = 2 * n_max + 1
+    size = ntd_matrix.shape[0] + 1
+    n_max = size // 2
     n_full = np.zeros((size, size))
     n_full[1:, 1:] = ntd_matrix
 

@@ -183,7 +183,7 @@ def _make_forward(cfg: ExperimentConfig):
             fit = fit_envelope(ntd - ntd_base, mean_zero_degrees)
             if cfg.problem == "ntd":
                 return _ForwardResult(ntd, fit, mean_zero_degrees)
-            r_mat = resistance_matrix(prob, ecfg, ntd_matrix=ntd)
+            r_mat = resistance_matrix(ntd, ecfg)
             return _ForwardResult(r_mat, fit, mean_zero_degrees)
 
         def dist(m1: np.ndarray, m2: np.ndarray) -> float:

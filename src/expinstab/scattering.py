@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from expinstab import shapes, special
-from expinstab.conductivity import fit_envelope, fourier_degrees
+from expinstab.conductivity import SolverError, fit_envelope, fourier_degrees
 from expinstab.opnet import OperatorMatrix
 from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
 from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
@@ -32,10 +32,6 @@ from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
 MAX_OBSTACLE_RADIUS = 1.8  # obstacles stay inside B(0, 9/5)
 DEFAULT_QUAD = 256
 DEFAULT_DIRECTIONS = 64
-
-
-class ScatteringError(RuntimeError):
-    """Raised when the boundary-integral solve cannot be trusted."""
 
 
 @dataclass(frozen=True)
@@ -269,10 +265,10 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     try:
         densities = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ScatteringError(f"combined-field system singular: {exc}") from exc
+        raise SolverError(f"combined-field system singular: {exc}") from exc
     residual = np.max(np.abs(system @ densities - rhs))
     if not np.isfinite(residual) or residual > 1e-8:
-        raise ScatteringError(f"combined-field solve residual {residual:.2e}")
+        raise SolverError(f"combined-field solve residual {residual:.2e}")
     return ScatteringSolution(nodes, a, eta, omega, densities)
 
 
@@ -292,15 +288,14 @@ def reciprocity_residual(grid: np.ndarray) -> float:
     return float(np.max(np.abs(grid - flipped)))
 
 
-def farfield_numeric(prob: ObstacleProblem, a: float | None = None) -> dict[float, FarFieldMatrix]:
+def farfield_numeric(prob: ObstacleProblem) -> dict[float, FarFieldMatrix]:
     """Far-field coefficient matrices of the obstacle, one per wave parameter.
 
     Reduces to farfield_disk for constant profiles.
     """
-    params = (a,) if a is not None else prob.wave_params
     degrees = fourier_degrees(prob.n_max)
     out: dict[float, FarFieldMatrix] = {}
-    for wave in params:
+    for wave in prob.wave_params:
         sol = solve_scattering(prob.shape, wave, prob.quad_nodes, prob.direction_count)
         grid = sol.far_field_grid()
         entries = _project_far_field(grid, sol.directions, prob.n_max)

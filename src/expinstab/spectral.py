@@ -31,20 +31,16 @@ DOMAIN_KINDS = (
 
 DIRICHLET_TRACE = "dirichlet_trace"
 NEUMANN_TRACE = "neumann_trace"
-PLAIN = "plain"
 
 
 @dataclass(frozen=True)
 class BasisSpec:
     domain_kind: str = FULL_CIRCLE
-    weighting: str = PLAIN
     n_max: int = 32
 
     def __post_init__(self):
         if self.domain_kind not in DOMAIN_KINDS:
             raise ValueError(f"unknown domain kind {self.domain_kind!r}")
-        if self.weighting not in (DIRICHLET_TRACE, NEUMANN_TRACE, PLAIN):
-            raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
 

@@ -235,7 +235,7 @@ def test_criterion_7_electrode_model():
     for _ in range(20):
         prob = InclusionProblem(smooth_inclusion(rng), 2.0, 16, 256)
         ntd = ntd_from_dtn(dtn_numeric(prob))
-        r_mat = resistance_matrix(prob, cfg, ntd_matrix=ntd)
+        r_mat = resistance_matrix(ntd, cfg)
         worst_sym = max(worst_sym, float(np.abs(r_mat - r_mat.T).max()))
         worst_kernel = max(worst_kernel, float(np.abs(r_mat @ np.ones(8)).max()))
         mats.append(r_mat)
@@ -273,7 +273,7 @@ def test_criterion_8_scattering():
             192,
             48,
         )
-        num = farfield_numeric(prob, a=a)[a]
+        num = farfield_numeric(prob)[a]
         ref = farfield_disk(1.0, a, 12)
         worst_disk = max(worst_disk, float(np.abs(num.entries - ref.entries).max()))
     assert worst_disk <= 1e-6
@@ -289,7 +289,7 @@ def test_criterion_8_scattering():
         shape = Shape(
             shapes.RADIAL_SUBGRAPH, RadialProfile(vals, base_radius=1.0, amplitude_cap=0.5)
         )
-        mat = farfield_numeric(ObstacleProblem(shape, (1.0,), 10, 192, 48), a=1.0)[1.0]
+        mat = farfield_numeric(ObstacleProblem(shape, (1.0,), 10, 192, 48))[1.0]
         worst_rec = max(worst_rec, mat.reciprocity_residual)
     assert worst_rec <= 1e-8
     # Wronskian J_n Y_n' - J_n' Y_n = 2/(pi x)

@@ -215,8 +215,9 @@ class TestSubcommands:
         def never(*args, **kwargs):
             raise AssertionError("the computation ran before --out was checked")
 
+        # what the subcommands call, not the functions the SUBCOMMANDS table holds
         monkeypatch.setattr(cli, "run_instability", never)
-        monkeypatch.setattr(cli, "_run_forward", never)
+        monkeypatch.setattr(cli, "load_shape", never)
         disk = shapes.Shape(
             shapes.RADIAL_SUBGRAPH,
             shapes.RadialProfile(np.zeros(256), base_radius=0.5, amplitude_cap=0.25),
@@ -226,6 +227,43 @@ class TestSubcommands:
         assert cli.main(["forward", "--shape-file", str(tmp_path / "disk.txt")]) == 2
         err = capsys.readouterr().err
         assert "instability requires --out" in err and "forward requires --out" in err
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (
+                ["--seed", "5", "pack", "--m", "1", "--beta", "1.0", "--eps-list", "0.1", "--samples", "4"],
+                ["pack.csv"],
+            ),
+            (
+                ["basis", "--domain", "slit_disk_neumann", "--n-max", "3"],
+                ["basis_degrees.csv", "basis_decay.csv"],
+            ),
+            (
+                ["net", "--delta", "0.01,0.001", "--c2", "1", "--alpha2", "0.5", "--p", "1"],
+                ["net.csv"],
+            ),
+            (
+                ["scatter", "--shape-file", "disk.txt", "--a-list", "1.0,4.0",
+                 "--scatter-n-max", "4", "--scatter-quad", "64", "--directions", "16"],
+                ["farfield_magnitudes.csv", "reciprocity.csv"],
+            ),
+        ],
+        ids=["pack", "basis", "net", "scatter"],
+    )
+    def test_stdout_is_the_files_in_order(self, argv, names, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        disk = shapes.Shape(
+            shapes.RADIAL_SUBGRAPH,
+            shapes.RadialProfile(np.zeros(256), base_radius=1.0, amplitude_cap=0.5),
+        )
+        save_shape(disk, tmp_path / "disk.txt")
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert cli.main(["--out", "files", *argv]) == 0
+        written = b"".join((tmp_path / "files" / name).read_bytes() for name in [*names, "config.echo"])
+        assert printed.encode() == written
+        assert sorted(p.name for p in (tmp_path / "files").iterdir()) == sorted([*names, "config.echo"])
 
     def test_missing_shape_file_is_config_error(self, tmp_path):
         code = cli.main(["--out", str(tmp_path), "forward", "--shape-file", str(tmp_path / "nope.txt")])

@@ -328,7 +328,7 @@ class TestResistanceMatrix:
     def test_two_symmetric_electrodes_homogeneous(self):
         cfg = ElectrodeConfig(arcs=((0.0, 1.0), (math.pi, math.pi + 1.0)), impedances=(0.1, 0.1))
         prob = InclusionProblem(disk_shape(np.zeros(512)), 1.0, 16, 128)
-        r_mat = resistance_matrix(prob, cfg)
+        r_mat = resistance_matrix(ntd_from_dtn(dtn_numeric(prob)), cfg)
         assert np.abs(r_mat - r_mat.T).max() <= 1e-12
         assert np.abs(r_mat @ np.ones(2)).max() <= 1e-14
         assert r_mat[0, 1] < 0
@@ -337,8 +337,10 @@ class TestResistanceMatrix:
         rng = np.random.default_rng(6)
         cfg = ElectrodeConfig.equispaced()
         shape = smooth_inclusion(rng)
-        r_hom = resistance_matrix(InclusionProblem(disk_shape(np.zeros(512)), 1.0, 16, 128), cfg)
-        r_inc = resistance_matrix(InclusionProblem(shape, 1.0, 16, 128), cfg)
+        r_hom = resistance_matrix(
+            ntd_from_dtn(dtn_numeric(InclusionProblem(disk_shape(np.zeros(512)), 1.0, 16, 128))), cfg
+        )
+        r_inc = resistance_matrix(ntd_from_dtn(dtn_numeric(InclusionProblem(shape, 1.0, 16, 128))), cfg)
         assert np.abs(r_hom - r_inc).max() <= 1e-10
 
     def test_symmetry_and_kernel_on_random_shapes(self):
@@ -346,7 +348,7 @@ class TestResistanceMatrix:
         cfg = ElectrodeConfig.equispaced()
         for _ in range(3):
             prob = InclusionProblem(smooth_inclusion(rng), 2.0, 16, 192)
-            r_mat = resistance_matrix(prob, cfg)
+            r_mat = resistance_matrix(ntd_from_dtn(dtn_numeric(prob)), cfg)
             assert np.abs(r_mat - r_mat.T).max() <= 1e-10
             assert np.abs(r_mat @ np.ones(cfg.count)).max() <= 1e-12
 
@@ -357,7 +359,7 @@ class TestResistanceMatrix:
         for _ in range(5):
             prob = InclusionProblem(smooth_inclusion(rng), 2.0, 16, 192)
             ntd = ntd_from_dtn(dtn_numeric(prob))
-            mats.append(resistance_matrix(prob, cfg, ntd_matrix=ntd))
+            mats.append(resistance_matrix(ntd, cfg))
             ntds.append(ntd)
         ratios = []
         for i in range(len(mats)):

@@ -122,7 +122,7 @@ class TestNumericFarField:
     @pytest.mark.parametrize("a", [1.0, 4.0])
     def test_constant_profile_matches_disk(self, a):
         prob = ObstacleProblem(obstacle(np.zeros(2048)), (a,), 12, 192, 48)
-        num = farfield_numeric(prob, a=a)[a]
+        num = farfield_numeric(prob)[a]
         ref = farfield_disk(1.0, a, 12)
         assert np.abs(num.entries - ref.entries).max() <= 1e-6
 
@@ -138,13 +138,13 @@ class TestNumericFarField:
         rng = np.random.default_rng(0)
         for _ in range(3):
             prob = ObstacleProblem(smooth_obstacle(rng), (1.0,), 10, 192, 48)
-            mat = farfield_numeric(prob, a=1.0)[1.0]
+            mat = farfield_numeric(prob)[1.0]
             assert mat.reciprocity_residual <= 1e-8
 
     def test_coefficient_decay_positive_rate(self):
         rng = np.random.default_rng(1)
         prob = ObstacleProblem(smooth_obstacle(rng), (4.0,), 14, 256, 64)
-        mat = farfield_numeric(prob, a=4.0)[4.0]
+        mat = farfield_numeric(prob)[4.0]
         op = farfield_operator(mat)
         assert op.alpha2 > 0
         maxdeg = np.maximum.outer(op.degrees, op.degrees)
@@ -267,5 +267,5 @@ class TestL2Norm:
         grid = sol.far_field_grid()
         w = 2 * np.pi / 96
         direct = math.sqrt(float(np.sum(np.abs(grid) ** 2)) * w * w)
-        mat = farfield_numeric(prob, a=4.0)[4.0]
+        mat = farfield_numeric(prob)[4.0]
         assert farfield_l2_norm(mat) == pytest.approx(direct, abs=1e-6)
