@@ -162,15 +162,16 @@ def _cmd_pack(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     built = [family.shape(p) for p in patterns]
     base = family.base_shape()
     samples = min(cfg.grid_size, 512)
-    rows = []
-    for idx, (pat, shape) in enumerate(zip(patterns, built)):
-        to_base = shapes.hausdorff_distance(shape, base, samples=samples)
-        min_pair = math.inf
-        for jdx, other in enumerate(built):
-            if jdx == idx:
-                continue
-            min_pair = min(min_pair, shapes.hausdorff_distance(shape, other, samples=samples))
-        rows.append((pat, to_base, min_pair))
+    # the distance is symmetric: visit each unordered pair once
+    min_pair = [math.inf] * len(built)
+    for idx, jdx in zip(*np.triu_indices(len(built), k=1)):
+        d = shapes.hausdorff_distance(built[idx], built[jdx], samples=samples)
+        min_pair[idx] = min(min_pair[idx], d)
+        min_pair[jdx] = min(min_pair[jdx], d)
+    rows = [
+        (pat, shapes.hausdorff_distance(shape, base, samples=samples), mp)
+        for pat, shape, mp in zip(patterns, built, min_pair)
+    ]
     return {"pack.csv": (["pattern_id", "hausdorff_to_base", "min_pairwise_sampled"], rows)}
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,22 +66,15 @@ def y_norm(matrix: OperatorMatrix) -> float:
     return float(np.max(np.abs(matrix.entries) * weights))
 
 
-@lru_cache(maxsize=1)
-def _inverse_square_sum() -> float:
-    """sum_{n>=1} (1+n)^-2 by partial sums plus an integral tail bound."""
-    n_terms = 200_000
-    n = np.arange(1, n_terms + 1, dtype=float)
-    partial = float(np.sum((1.0 + n) ** -2))
-    # sum_{n>N} (1+n)^-2 lies between 1/(N+2) and 1/(N+1)
-    tail = 0.5 * (1.0 / (n_terms + 1) + 1.0 / (n_terms + 2))
-    return partial + tail
+# sum_{n>=1} (1+n)^-2 = zeta(2) - 1
+_INVERSE_SQUARE_SUM = math.pi**2 / 6 - 1
 
 
 def c4_constant(c2: float) -> float:
     """Norm-comparison constant C4 = C2 * (sum_{n>=1} (1+n)^-2)^(1/2)."""
     if c2 < 0:
         raise ValueError("C2 must be nonnegative")
-    return c2 * math.sqrt(_inverse_square_sum())
+    return c2 * math.sqrt(_INVERSE_SQUARE_SUM)
 
 
 def op_norm_bound_check(matrix: OperatorMatrix, tol: float = 1e-12) -> bool:

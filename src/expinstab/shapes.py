@@ -211,15 +211,8 @@ def boundary_points(shape: Shape, samples: int | None = None) -> np.ndarray:
 
 
 def _contains(shape: Shape, pts: np.ndarray) -> np.ndarray:
-    """Membership of points in the solid subgraph region."""
+    """Membership of points in the solid flat subgraph region."""
     p = shape.profile
-    if shape.is_radial:
-        cx, cy = p.center
-        dx, dy = pts[:, 0] - cx, pts[:, 1] - cy
-        radius = np.hypot(dx, dy)
-        theta = np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
-        g = np.interp(theta, p.angles, p.values, period=2.0 * np.pi)
-        return radius <= p.base_radius + g + _TOL
     t, y = pts[:, 0], pts[:, 1]
     inside_base = np.abs(t) <= p.half_width + _TOL
     f = np.interp(t, p.grid, p.values)

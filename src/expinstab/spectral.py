@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -162,59 +161,20 @@ def sobolev_norm(freqs: np.ndarray, coeffs: np.ndarray, s: float) -> float:
 # interior decay
 # ----------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _angular_range(kind: str) -> tuple[float, float]:
-    if kind in (HALF_DISK_NEUMANN, HALF_DISK_DIRICHLET):
-        return 0.0, math.pi
-    return 0.0, 2.0 * math.pi
-
-
-def interior_decay(elt: BasisElement, r0: float, quad: int = 200) -> float:
+def interior_decay(elt: BasisElement, r0: float) -> float:
     """H^1 norm of the trace-normalized eigenfunction on B(0, r0) (intersected
-    with the domain).  Closed-form radial integrals on the disk; radial plus,
-    Gauss quadrature in the angle for the half and slit disks."""
+    with the domain), in closed form.  Every trace is L^2-normalized on an arc
+    of whole half-periods of v^2, so int v^2 = 1 and int (v')^2 = g^2 on
+    every domain."""
     if not 0.0 < r0 < 1.0:
         raise ValueError("need 0 < r0 < 1")
     g = elt.degree
-    lo, hi = _angular_range(elt.domain_kind)
-    if elt.domain_kind == FULL_CIRCLE:
-        # exact angular integrals for the normalized trace:
-        # int v^2 = 1 and int (v')^2 = g^2
-        norm_sq_angular = 1.0
-        dnorm_sq_angular = 0.0 if elt.parity == "const" else g**2
-    else:
-        x, w = _gauss_nodes(quad)
-        theta = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        scale = 0.5 * (hi - lo)
-        v = elt.trace(theta)
-        norm_sq_angular = scale * float(np.sum(w * v**2))
-        if elt.parity == "const":
-            dnorm_sq_angular = 0.0
-        else:
-            dv = _trace_derivative(elt, theta)
-            dnorm_sq_angular = scale * float(np.sum(w * dv**2))
     # radial integrals of r^(2g) * r and of r^(2g-2) * r on [0, r0]
-    mass_radial = r0 ** (2 * g + 2) / (2 * g + 2)
+    mass = r0 ** (2 * g + 2) / (2 * g + 2)
     if g == 0:
-        grad_sq = 0.0
-    else:
-        grad_radial = r0 ** (2 * g) / (2 * g)
-        grad_sq = grad_radial * (g**2 * norm_sq_angular + dnorm_sq_angular)
-    return math.sqrt(grad_sq + mass_radial * norm_sq_angular)
-
-
-def _trace_derivative(elt: BasisElement, theta: np.ndarray) -> np.ndarray:
-    if elt.parity == "const":
-        return np.zeros_like(theta)
-    g, scale = elt.degree, elt.trace_scale
-    if elt.parity == "cos":
-        return -g * scale * np.sin(g * theta)
-    return g * scale * np.cos(g * theta)
+        return math.sqrt(mass)
+    # gradient: radial part g^2 * int v^2 plus angular part int (v')^2
+    return math.sqrt(r0 ** (2 * g) / (2 * g) * (g**2 + g**2) + mass)
 
 
 def fit_decay_constant(spec: BasisSpec, r0: float) -> float:

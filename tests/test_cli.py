@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from expinstab import cli, conductivity, shapes
+from expinstab import cli, conductivity, packing, shapes
 from expinstab.cli import ConfigError, ExperimentConfig, config_text, parse_config, write_csv
 from expinstab.shapes import save_shape
 
@@ -93,6 +93,34 @@ class TestSubcommands:
         assert body.splitlines()[0] == "pattern_id,hausdorff_to_base,min_pairwise_sampled"
         assert len(body.splitlines()) == 5
         assert (tmp_path / "config.echo").exists()
+
+    def test_pack_visits_each_unordered_pair_once(self, tmp_path, monkeypatch):
+        real = shapes.hausdorff_distance
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shapes, "hausdorff_distance", counted)
+        code = cli.main([
+            "--out", str(tmp_path), "--seed", "3", "--grid-size", "64",
+            "pack", "--eps-list", "0.05", "--samples", "50",
+        ])
+        assert code == 0
+        # 50 distances to the base and 50 * 49 / 2 unordered pairs
+        assert len(calls) == 1275
+        cfg = ExperimentConfig(grid_size=64)
+        cls = packing.ShapeClass(
+            kind=cfg.kind, base=cfg.base_radius, m=cfg.m, beta=cfg.beta, grid_size=cfg.grid_size
+        )
+        family = packing.build_packing(cls, 0.05)
+        built = [family.shape(p) for p in family.sample_patterns(np.random.default_rng(3), 50)]
+        rows = (tmp_path / "pack.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(built)
+        for row, shape in zip(rows, built):
+            brute = min(real(shape, other, samples=64) for other in built if other is not shape)
+            assert float(row.split(",")[2]) == brute
 
     def test_basis_outputs(self, tmp_path):
         code = cli.main(["--out", str(tmp_path), "basis", "--domain", "slit_disk_neumann", "--n-max", "3"])

@@ -57,6 +57,10 @@ class TestC4:
         assert c4_constant(1.0) == pytest.approx(math.sqrt(math.pi**2 / 6 - 1), abs=1e-6)
         assert c4_constant(1.0) == pytest.approx(0.80308, abs=1e-5)
 
+    def test_value_is_the_closed_form(self):
+        # sum_{n>=1} (1+n)^-2 = pi^2/6 - 1
+        assert c4_constant(1.0) == math.sqrt(math.pi**2 / 6 - 1)
+
     def test_linearity(self):
         assert c4_constant(2 * 1.7) == pytest.approx(2 * c4_constant(1.7), rel=1e-14)
 

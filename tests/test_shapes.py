@@ -68,6 +68,26 @@ class TestHausdorff:
         b = radial_shape(smooth_radial_values(rng))
         assert hausdorff_distance(a, b, samples=300) == hausdorff_distance(b, a, samples=300)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(shapes.KINDS),
+        sizes=st.tuples(st.integers(4, 96), st.integers(4, 96)),
+        samples=st.none() | st.integers(4, 300),
+        data=st.data(),
+    )
+    def test_symmetric_and_zero_on_equal_shapes(self, kind, sizes, samples, data):
+        flat = kind.startswith("flat")
+        pair = []
+        for n in sizes:
+            heights = data.draw(st.lists(st.floats(0.0, 0.25), min_size=n, max_size=n))
+            vals = np.array(heights)
+            if flat:
+                vals[[0, -1]] = 0.0  # the graph closes onto the base segment
+            pair.append((flat_shape if flat else radial_shape)(vals, kind=kind))
+        a, b = pair
+        assert hausdorff_distance(a, b, samples) == hausdorff_distance(b, a, samples)
+        assert hausdorff_distance(a, a, samples) == 0.0
+
     def test_triangle_inequality_within_resolution(self):
         rng = np.random.default_rng(11)
         for _ in range(5):

@@ -20,6 +20,12 @@ from expinstab.spectral import (
 ALL_DOMAINS = spectral.DOMAIN_KINDS
 
 
+@pytest.fixture(scope="module")
+def gauss_4096():
+    """4096-node Gauss-Legendre rule on [-1, 1], built once per module."""
+    return roots_legendre(4096)
+
+
 def spherical_harmonic_dim(j: int, N: int) -> int:
     """Independent oracle: dim of degree-j harmonics = C(N+j-1, j) - C(N+j-3, j-2)."""
     if j == 0:
@@ -174,9 +180,9 @@ class TestEigenfunctions:
             assert np.abs(e.interior(x, np.full_like(x, h))).max() <= 1e-2
             assert np.abs(e.interior(x, np.full_like(x, -h))).max() <= 1e-2
 
-    def test_trace_orthonormality(self):
+    def test_trace_orthonormality(self, gauss_4096):
         # Gram matrix within 1e-8 of the identity at 4096 quadrature points
-        nodes, weights = roots_legendre(4096)
+        nodes, weights = gauss_4096
         for kind in ALL_DOMAINS:
             elems = enumerate_basis(BasisSpec(kind, n_max=12))
             if kind == spectral.FULL_CIRCLE:
@@ -198,6 +204,30 @@ class TestInteriorDecay:
         # H^1 norm of the constant 1/sqrt(2 pi) on B(0, r0)
         expected = math.sqrt(math.pi * r0**2 / (2.0 * math.pi))
         assert interior_decay(elt, r0) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("r0", [0.5, 0.9])
+    def test_closed_form_matches_angular_quadrature(self, gauss_4096, r0):
+        # oracle: radial integrals in closed form, int v^2 and int (v')^2 by
+        # 4096-node Gauss-Legendre over the accessible arc
+        nodes, weights = gauss_4096
+        for kind in ALL_DOMAINS:
+            hi = np.pi if kind.startswith("half") else 2 * np.pi
+            theta = 0.5 * hi * (nodes + 1.0)
+            w = 0.5 * hi * weights
+            for e in enumerate_basis(BasisSpec(kind, n_max=150)):
+                g, amp = e.degree, e.trace_scale
+                if e.parity == "cos":
+                    dv = -g * amp * np.sin(g * theta)
+                elif e.parity == "sin":
+                    dv = g * amp * np.cos(g * theta)
+                else:
+                    dv = np.zeros_like(theta)
+                norm_sq = float(np.sum(w * e.trace(theta) ** 2))
+                dnorm_sq = float(np.sum(w * dv**2))
+                mass = r0 ** (2 * g + 2) / (2 * g + 2) * norm_sq
+                grad = 0.0 if g == 0 else r0 ** (2 * g) / (2 * g) * (g**2 * norm_sq + dnorm_sq)
+                expected = math.sqrt(grad + mass)
+                assert interior_decay(e, r0) == pytest.approx(expected, rel=1e-12, abs=0.0), (kind, g)
 
     def test_ratio_tends_to_r0(self):
         r0 = 0.8
