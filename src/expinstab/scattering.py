@@ -251,6 +251,11 @@ class ScatteringSolution:
         return kernel @ self.densities[:, direction_index]
 
 
+def _direction_grid(count: int) -> np.ndarray:
+    """Angles 2 pi i / count of the uniform grid of incident and observed directions."""
+    return 2.0 * np.pi * np.arange(count) / count
+
+
 def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: int) -> ScatteringSolution:
     """Solve the sound-soft problem for plane waves from a uniform grid of
     incident directions."""
@@ -258,7 +263,7 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     eta = k
     nodes = shapes.boundary_nodes(shape.profile, quad_nodes)
     system = 0.5 * np.eye(quad_nodes) + _kernel_matrices(nodes, k, eta)
-    omega = 2.0 * np.pi * np.arange(direction_count) / direction_count
+    omega = _direction_grid(direction_count)
     dirs = np.column_stack([np.cos(omega), np.sin(omega)])
     # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower
     rhs = -np.exp(1j * (k * nodes.points @ dirs.T))
@@ -272,11 +277,22 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     return ScatteringSolution(nodes, a, eta, omega, densities)
 
 
-def _project_far_field(grid: np.ndarray, angles: np.ndarray, n_max: int) -> np.ndarray:
-    """b_kl = double quadrature of A(xhat, omega) v_k(xhat) v_l(omega)."""
+@functools.cache
+def _basis_traces(n_max: int, direction_count: int) -> np.ndarray:
+    """Read-only traces of the circle basis up to n_max (rows) at the uniform
+    direction grid (columns)."""
+    angles = _direction_grid(direction_count)
     elements = enumerate_basis(BasisSpec(FULL_CIRCLE, n_max=n_max))
     traces = np.stack([e.trace(angles) for e in elements])
-    w = 2.0 * np.pi / angles.size
+    traces.flags.writeable = False
+    return traces
+
+
+def _project_far_field(grid: np.ndarray, n_max: int) -> np.ndarray:
+    """b_kl = double quadrature of A(xhat, omega) v_k(xhat) v_l(omega) on the
+    uniform direction grid."""
+    traces = _basis_traces(n_max, grid.shape[0])
+    w = 2.0 * np.pi / grid.shape[0]
     return (w * w) * (traces @ grid @ traces.T)
 
 
@@ -298,7 +314,7 @@ def farfield_numeric(prob: ObstacleProblem) -> dict[float, FarFieldMatrix]:
     for wave in prob.wave_params:
         sol = solve_scattering(prob.shape, wave, prob.quad_nodes, prob.direction_count)
         grid = sol.far_field_grid()
-        entries = _project_far_field(grid, sol.directions, prob.n_max)
+        entries = _project_far_field(grid, prob.n_max)
         out[wave] = FarFieldMatrix(entries, degrees, wave, reciprocity_residual(grid))
     return out
 

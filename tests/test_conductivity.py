@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from expinstab.conductivity import (
     InclusionProblem,
     _arc_multiplication_matrix,
     _kstar_matrix,
+    _mode_traces,
     _shell_maxima,
     arc_mode_integrals,
     delta_dtn_weighted,
@@ -24,22 +28,30 @@ from expinstab.conductivity import (
     resistance_matrix,
 )
 from expinstab.opnet import OperatorMatrix
+from expinstab.packing import ShapeClass, build_packing
 from expinstab.shapes import RadialProfile, Shape
 
 
-def disk_shape(values, r=0.5, cap=0.25):
-    prof = RadialProfile(np.asarray(values, dtype=float), base_radius=r, amplitude_cap=cap)
+def disk_shape(values, r=0.5, cap=0.25, center=(0.0, 0.0)):
+    prof = RadialProfile(np.asarray(values, dtype=float), base_radius=r, amplitude_cap=cap, center=center)
     return Shape(shapes.RADIAL_SUBGRAPH, prof)
 
 
-def smooth_inclusion(rng, r=0.5, cap=0.1, modes=6, grid=2048):
+def smooth_inclusion(rng, r=0.5, cap=0.1, modes=6, grid=2048, center=(0.0, 0.0)):
     theta = 2 * np.pi * np.arange(grid) / grid
     vals = np.zeros(grid)
     for j in range(1, modes + 1):
         vals += rng.normal() * np.cos(j * theta) + rng.normal() * np.sin(j * theta)
     vals -= vals.min()
     vals *= cap / max(vals.max(), 1e-30)
-    return disk_shape(vals, r=r)
+    return disk_shape(vals, r=r, center=center)
+
+
+def off_centre_nodes(seed, n, center=(0.12, -0.07)):
+    """Boundary nodes of a bumpy inclusion (base radius 0.4, bumps up to 0.1)
+    centred away from the origin."""
+    shape = smooth_inclusion(np.random.default_rng(seed), r=0.4, modes=8, center=center)
+    return shapes.boundary_nodes(shape.profile, n)
 
 
 def radial_dtn_fd(n: int, rho: float, a: float, cells: int = 40000) -> float:
@@ -112,12 +124,128 @@ def kstar_oracle(nodes):
     return out
 
 
+def kstar_full_array(nodes):
+    """_kstar_matrix as one pass over full n x n arrays, in the order of
+    operations the row blocks must keep entry by entry."""
+
+    def normal_quotients(px, py):
+        x, y = nodes.points[:, :1], nodes.points[:, 1:]
+        nx, ny = nodes.normals[:, :1], nodes.normals[:, 1:]
+        dx = x - px
+        dy = y - py
+        quot = nx * dx
+        quot += ny * dy
+        dx *= dx
+        dy *= dy
+        dx += dy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quot /= dx
+        return quot
+
+    x, y = nodes.points[:, 0], nodes.points[:, 1]
+    r2 = np.hypot(x, y) ** 2
+    kernel = normal_quotients(x / r2, y / r2)
+    log_part = normal_quotients(x, y)
+    np.fill_diagonal(log_part, 0.5 * nodes.curvature)
+    kernel -= log_part
+    kernel *= nodes.weights / (2.0 * np.pi)
+    return kernel
+
+
+def mode_traces_polar(nodes, n_max):
+    """_mode_traces in polar form: s^j cos/sin(j tau) / sqrt(pi) and their
+    gradients j s^(j-1) (cos e_s - sin e_t), (sin e_s + cos e_t) against nu."""
+    s = np.hypot(nodes.points[:, 0], nodes.points[:, 1])
+    tau = np.arctan2(nodes.points[:, 1], nodes.points[:, 0])
+    k = 2 * n_max + 1
+    values = np.empty((s.size, k))
+    d_normal = np.empty((s.size, k))
+    e_s = np.column_stack([np.cos(tau), np.sin(tau)])
+    e_t = np.column_stack([-np.sin(tau), np.cos(tau)])
+    nu_s = np.einsum("ik,ik->i", nodes.normals, e_s)
+    nu_t = np.einsum("ik,ik->i", nodes.normals, e_t)
+    values[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
+    d_normal[:, 0] = 0.0
+    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
+    for j in range(1, n_max + 1):
+        sj = s ** (j - 1)
+        cj, sj_ang = np.cos(j * tau), np.sin(j * tau)
+        col = 2 * j - 1
+        values[:, col] = s * sj * cj * inv_sqrt_pi
+        values[:, col + 1] = s * sj * sj_ang * inv_sqrt_pi
+        d_normal[:, col] = j * sj * (cj * nu_s - sj_ang * nu_t) * inv_sqrt_pi
+        d_normal[:, col + 1] = j * sj * (sj_ang * nu_s + cj * nu_t) * inv_sqrt_pi
+    return values, d_normal
+
+
+class TestKernelAssembly:
+    @pytest.mark.parametrize("n", [33, 100, 512])
+    def test_row_blocks_equal_full_array_bit_for_bit(self, n):
+        # 33 and 100 end on a partial block; NaN marks an entry left unwritten
+        nodes = off_centre_nodes(11, n)
+        assert np.array_equal(_kstar_matrix(nodes, np.full((n, n), np.nan)), kstar_full_array(nodes))
+
+    def test_peak_memory_is_about_one_output(self):
+        # the full-array build peaks near 5 output arrays; the blocked one
+        # holds the output and work arrays of a few rows
+        n = 512
+        nodes = off_centre_nodes(12, n)
+        tracemalloc.start()
+        try:
+            _kstar_matrix(nodes, np.empty((n, n)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cx=st.floats(-0.2, 0.2),
+        cy=st.floats(-0.2, 0.2),
+        n_max=st.integers(1, 32),
+    )
+    def test_mode_traces_against_polar_form(self, seed, cx, cy, n_max):
+        nodes = off_centre_nodes(seed, 128, center=(cx, cy))
+        got = _mode_traces(nodes, n_max)
+        want = mode_traces_polar(nodes, n_max)
+        for g, w in zip(got, want):
+            scale = np.abs(w).max(axis=0)
+            assert np.all(np.abs(g - w) <= 1e-13 * scale)
+
+
 class TestDtnNumeric:
     def test_kernel_against_scalar_oracle(self):
         prob = InclusionProblem(smooth_inclusion(np.random.default_rng(9)), 2.0, 8, 32)
         nodes = shapes.boundary_nodes(prob.shape.profile, prob.quad_nodes)
         expected = kstar_oracle(nodes)
-        assert np.abs(_kstar_matrix(nodes) - expected).max() <= 1e-15 * np.abs(expected).max()
+        kernel = _kstar_matrix(nodes, np.empty((32, 32)))
+        assert np.abs(kernel - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    def test_reused_kernel_array_keeps_shapes_apart(self):
+        # each thread keeps its kernel array between solves: another order or a
+        # different node count in between gives the same bits, concurrent threads
+        # the same matrices
+        rng = np.random.default_rng(10)
+        probs = [
+            InclusionProblem(smooth_inclusion(rng, center=(0.02 * k, -0.01 * k)), 2.0, 8, 128)
+            for k in range(8)
+        ]
+        serial = [dtn_numeric(p) for p in probs]
+        dtn_numeric(InclusionProblem(probs[0].shape, 2.0, 8, 96))
+        backwards = [dtn_numeric(p) for p in probs[::-1]][::-1]
+        assert all(np.array_equal(a, b) for a, b in zip(serial, backwards))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(dtn_numeric, p) for p in probs * 4]
+                concurrent = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        # BLAS may split a call differently while other threads use it: round-off only
+        for got, want in zip(concurrent, serial * 4):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_concentric_oracle(self):
         prob = InclusionProblem(disk_shape(np.zeros(2048)), 2.0, 8, 256)
@@ -153,6 +281,21 @@ class TestDtnNumeric:
             prob = InclusionProblem(smooth_inclusion(rng), 2.0, 12, 384)
             mat = dtn_numeric(prob)
             assert np.abs(mat - mat.T).max() <= 1e-6
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        eps=st.sampled_from([0.12, 0.05]),
+        quad=st.sampled_from([256, 512]),
+        contrast=st.sampled_from([0.5, 2.0]),
+        pick=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_symmetric_up_to_quadrature_error_on_packing_shapes(self, eps, quad, contrast, pick):
+        # measured worst over 32 patterns and both contrasts each, n_max 32:
+        # 9.1e-10 at eps 0.05 and 256 nodes, 1.7e-10 at 512 nodes
+        family = build_packing(ShapeClass(), eps)
+        pattern = int(pick * (1 << family.cell_count))
+        mat = dtn_numeric(InclusionProblem(family.shape(pattern), contrast, 32, quad))
+        assert np.abs(mat - mat.T).max() <= 2e-9 * np.abs(mat).max()
 
     def test_positive_semidefinite_mean_zero(self):
         rng = np.random.default_rng(2)
@@ -299,6 +442,21 @@ class TestNtd:
         ntd = ntd_from_dtn(dtn_numeric(prob))
         expected = np.diag(np.repeat(1.0 / np.arange(1.0, 9.0), 2))
         np.testing.assert_allclose(ntd, expected, atol=1e-12)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        contrast=st.floats(0.2, 5.0).filter(lambda a: a == 1.0 or abs(a - 1.0) >= CONTRAST_GUARD),
+        n_max=st.integers(1, 32),
+    )
+    def test_inverse_of_mean_zero_block(self, seed, contrast, n_max):
+        # measured worst residual 1.8e-15 over 60 such draws
+        shape = smooth_inclusion(np.random.default_rng(seed), center=(0.1, 0.05))
+        dtn = dtn_numeric(InclusionProblem(shape, contrast, n_max, 192))
+        ntd, block = ntd_from_dtn(dtn), dtn[1:, 1:]
+        eye = np.eye(2 * n_max)
+        assert np.abs(ntd @ block - eye).max() <= 1e-13
+        assert np.abs(block @ ntd - eye).max() <= 1e-13
 
     def test_resolvent_identity_inequality(self):
         # N1 - N2 = N2 (L2 - L1) N1 holds exactly for truncated inverses

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expinstab import shapes, special
+from expinstab import scattering, shapes, special
 from expinstab.scattering import (
     FarFieldMatrix,
     disk_mode_coefficients,
@@ -15,6 +15,7 @@ from expinstab.scattering import (
     farfield_numeric,
     farfield_operator,
     hankel_bound_check,
+    _basis_traces,
     _distances,
     _kernel_matrices,
     _log_weights,
@@ -74,7 +75,7 @@ class TestDiskFarField:
             c[abs(n)] * np.exp(1j * n * (angles[:, None] - angles[None, :]))
             for n in range(-30, 31)
         )
-        projected = _project_far_field(grid, angles, n_max)
+        projected = _project_far_field(grid, n_max)
         ref = farfield_disk(radius, a, n_max)
         assert np.abs(projected - ref.entries).max() <= 1e-12
 
@@ -248,6 +249,28 @@ class TestKernelBitIdentity:
                 table.flat[0] = 0
         with pytest.raises(ValueError, match="even"):
             _quadrature_tables(63)
+
+    def test_projection_reads_one_cached_trace_table(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return enumerate_basis(spec)
+
+        monkeypatch.setattr(scattering, "enumerate_basis", counted)
+        _basis_traces.cache_clear()
+        prob = ObstacleProblem(self.bumpy_star(), (1.0, 4.0), 8, 64, 16)
+        got = farfield_numeric(prob)
+        farfield_numeric(prob)
+        assert len(calls) == 1
+        assert not _basis_traces(8, 16).flags.writeable
+        # the traces built per solve, as the projection once did, give the same bits
+        w = 2 * np.pi / 16
+        elements = enumerate_basis(BasisSpec(FULL_CIRCLE, n_max=8))
+        for a, mat in got.items():
+            sol = solve_scattering(prob.shape, a, 64, 16)
+            traces = np.stack([e.trace(sol.directions) for e in elements])
+            assert np.array_equal(mat.entries, (w * w) * (traces @ sol.far_field_grid() @ traces.T))
 
 
 class TestL2Norm:
