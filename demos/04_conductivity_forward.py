@@ -17,6 +17,7 @@ from expinstab.conductivity import (
     diagonal_decay_fit,
     dtn_concentric,
     dtn_numeric,
+    fourier_degrees,
     ntd_from_dtn,
     resistance_matrix,
 )
@@ -31,8 +32,8 @@ print("DtN eigenvalues (concentric rho = 0.5, a = 2):")
 print("  numeric :", " ".join(f"{v:.6f}" for v in numeric))
 print("  closed  :", " ".join(f"{v:.6f}" for v in closed))
 
-op = delta_dtn_weighted(InclusionProblem(disk, 2.0, 16, 256))
-alpha_hat, c_hat, r2 = diagonal_decay_fit(op)
+weighted = delta_dtn_weighted(InclusionProblem(disk, 2.0, 16, 256))
+alpha_hat, c_hat, r2 = diagonal_decay_fit(weighted, fourier_degrees(16))
 print(
     f"\nweighted difference decay: alpha_hat = {alpha_hat:.4f} "
     f"(2 log(1/rho) = {2*np.log(2):.4f}), r^2 = {r2:.4f}"

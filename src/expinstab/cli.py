@@ -28,13 +28,15 @@ from expinstab.conductivity import (
     SolverError,
     diagonal_decay_fit,
     dtn_numeric,
+    fit_envelope,
+    fourier_degrees,
     ntd_from_dtn,
     resistance_matrix,
     weighted_delta,
 )
-from expinstab.engine import ConfigError, ExperimentConfig, run_instability
+from expinstab.engine import ConfigError, ExperimentConfig, WitnessRecord, run_instability
 from expinstab.opnet import NetParams, net_size_log_bound
-from expinstab.scattering import ObstacleProblem, farfield_numeric, farfield_operator
+from expinstab.scattering import ObstacleProblem, farfield_numeric
 from expinstab.shapes import load_shape
 
 KEYS = tuple(f.name for f in fields(ExperimentConfig))
@@ -129,22 +131,20 @@ def _matrix_table(matrix: np.ndarray) -> tuple[list[str], list[tuple]]:
     return ["row", "col", "value"], [(i, j, v) for (i, j), v in np.ndenumerate(matrix)]
 
 
-REPORT_HEADER = [
-    "eps",
-    "pattern_a",
-    "pattern_b",
-    "hausdorff",
-    "resolution",
-    "op_norm_diff",
-    "delta_eps",
-    "packing_log_count",
-    "certified_log_cardinality",
-    "net_log_bound",
-    "counting_ok",
-    "margin",
-    "sample_count",
-    "norm_floored",
-]
+REPORT_HEADER = [f.name for f in fields(WitnessRecord)]
+
+
+def _shape_problem(problem_type, shape_file: str, *settings):
+    """``problem_type(shape, *settings)`` on the shape in ``shape_file``; a
+    missing header key, a malformed value or a shape the problem rejects is
+    a config error that names the file."""
+    try:
+        return problem_type(load_shape(shape_file), *settings)
+    except KeyError as exc:
+        message = f"{shape_file}: missing header key {exc.args[0]!r}"
+        raise ConfigError(message, "shape_file") from None
+    except ValueError as exc:
+        raise ConfigError(f"{shape_file}: {exc}", "shape_file") from None
 
 
 # ----------------------------------------------------------------------------
@@ -212,9 +212,10 @@ def _cmd_net(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
 
 
 def _cmd_forward(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
-    prob = InclusionProblem(load_shape(shape_file), cfg.a, cfg.n_max, cfg.quad_nodes)
+    prob = _shape_problem(InclusionProblem, shape_file, cfg.a, cfg.n_max, cfg.quad_nodes)
     dtn = dtn_numeric(prob)
-    alpha_hat, c_hat, r2 = diagonal_decay_fit(weighted_delta(dtn, prob.n_max))
+    weighted = weighted_delta(dtn, cfg.n_max)
+    alpha_hat, c_hat, r2 = diagonal_decay_fit(weighted, fourier_degrees(cfg.n_max))
     fit_rows = [("alpha_hat", alpha_hat), ("c_hat", c_hat), ("r_squared", r2)]
     ecfg = ElectrodeConfig.equispaced(cfg.electrodes, cfg.electrode_coverage, cfg.electrode_z)
     return {
@@ -225,8 +226,8 @@ def _cmd_forward(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
 
 
 def _cmd_scatter(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
-    prob = ObstacleProblem(
-        load_shape(shape_file), cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions
+    prob = _shape_problem(
+        ObstacleProblem, shape_file, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions
     )
     fields = farfield_numeric(prob)
     mag_rows, meta_rows = [], []
@@ -234,8 +235,8 @@ def _cmd_scatter(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
         mat = fields[a]
         # scalar abs: the array np.abs can differ in the last bit
         mag_rows += [(a, i, j, abs(v)) for (i, j), v in np.ndenumerate(mat.entries)]
-        op = farfield_operator(mat)
-        meta_rows.append((a, mat.reciprocity_residual, op.c2, op.alpha2))
+        fit = fit_envelope(np.abs(mat.entries), mat.degrees)
+        meta_rows.append((a, mat.reciprocity_residual, fit.c2, fit.alpha2))
     return {
         "farfield_magnitudes.csv": (["a", "row", "col", "abs_value"], mag_rows),
         "reciprocity.csv": (["a", "residual", "c2_hat", "alpha2_hat"], meta_rows),

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from expinstab import shapes
-from expinstab.opnet import OperatorMatrix
 from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
 
 MAX_INCLUSION_RADIUS = 0.8  # inclusions stay compactly inside B(0, 4/5)
@@ -44,6 +43,28 @@ _workspace = threading.local()  # per-thread arrays reused across shapes (see _k
 
 class SolverError(RuntimeError):
     """Raised when a forward solve cannot be completed reliably."""
+
+
+def checked_solve(system: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+    """Solution x of system @ x = rhs; SolverError when the named system is
+    singular or the largest residual entry is above 1e-8 or not finite."""
+    try:
+        x = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise SolverError(f"{name} system singular: {exc}") from exc
+    residual = np.max(np.abs(system @ x - rhs))
+    if not np.isfinite(residual) or residual > 1e-8:
+        raise SolverError(f"{name} solve residual {residual:.2e}")
+    return x
+
+
+def checked_inverse(matrix: np.ndarray, name: str) -> np.ndarray:
+    """Inverse of the named matrix; SolverError when its condition number is
+    above 1e12 or not finite."""
+    cond = np.linalg.cond(matrix)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SolverError(f"{name} ill-conditioned (cond ~ {cond:.2e})")
+    return np.linalg.inv(matrix)
 
 
 @dataclass(frozen=True)
@@ -187,33 +208,25 @@ def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
     system = _kstar_matrix(nodes, _kernel_array(prob.quad_nodes))
     system.flat[:: prob.quad_nodes + 1] += lam_c
     values, d_normal = _mode_traces(nodes, n_max)
-    try:
-        # phi is minus the density; negation is exact, so no bit of delta moves
-        phi = np.linalg.solve(system, d_normal)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SolverError(f"transmission system singular: {exc}") from exc
-    residual = np.max(np.abs(system @ phi - d_normal))
-    if not np.isfinite(residual) or residual > 1e-8:
-        raise SolverError(f"transmission solve residual {residual:.2e}")
+    # phi is minus the density; negation is exact, so no bit of delta moves
+    phi = checked_solve(system, d_normal, "transmission")
     delta = (values * nodes.weights[:, None]).T @ phi
     return base + delta
 
 
-def delta_dtn_weighted(prob: InclusionProblem, p: float = 1.0) -> OperatorMatrix:
+def delta_dtn_weighted(prob: InclusionProblem) -> np.ndarray:
     """Weighted difference matrix of the problem's DtN map (see weighted_delta)."""
-    return weighted_delta(dtn_numeric(prob), prob.n_max, p)
+    return weighted_delta(dtn_numeric(prob), prob.n_max)
 
 
-def weighted_delta(dtn: np.ndarray, n_max: int, p: float = 1.0) -> OperatorMatrix:
+def weighted_delta(dtn: np.ndarray, n_max: int) -> np.ndarray:
     """Weighted difference matrix b_jk = <(Lambda(D) - Lambda_0) e_j, e_k>
-    / sqrt((1+gamma_j)(1+gamma_k)) of a computed DtN matrix, with class
-    constants fitted on the fly."""
+    / sqrt((1+gamma_j)(1+gamma_k)) of a computed DtN matrix, rows and
+    columns in fourier_degrees(n_max) order."""
     degrees = fourier_degrees(n_max)
     delta = dtn - np.diag(degrees)
     weights = 1.0 / np.sqrt(1.0 + degrees)
-    entries = delta * np.outer(weights, weights)
-    fit = fit_envelope(entries, degrees)
-    return OperatorMatrix(entries, degrees, fit.c2, fit.alpha2, p, fit)
+    return delta * np.outer(weights, weights)
 
 
 @dataclass(frozen=True)
@@ -257,30 +270,31 @@ def fit_envelope(entries: np.ndarray, degrees: np.ndarray) -> EnvelopeFit:
     return replace(fit, c2=fit.c2_at(alpha2))
 
 
-def diagonal_decay_fit(matrix: OperatorMatrix) -> tuple[float, float, float]:
-    """Log-linear fit of the per-degree diagonal maxima: returns
-    (alpha_hat, c_hat, r_squared)."""
-    positive = matrix.degrees > 0
-    levels, maxima = _shell_maxima(np.diag(matrix.entries)[positive], matrix.degrees[positive])
-    keep = maxima > 1e-300
-    ns_arr = levels[keep]
-    ys_arr = np.array([math.log(m) for m in maxima[keep]])
-    slope, intercept = np.polyfit(ns_arr, ys_arr, 1)
-    pred = slope * ns_arr + intercept
-    ss_res = float(np.sum((ys_arr - pred) ** 2))
-    ss_tot = float(np.sum((ys_arr - ys_arr.mean()) ** 2))
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope * x + intercept: (slope, intercept, R^2),
+    with R^2 = 1 when y is constant."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
+
+
+def diagonal_decay_fit(entries: np.ndarray, degrees: np.ndarray) -> tuple[float, float, float]:
+    """Log-linear fit of the per-degree maxima of the diagonal of entries,
+    whose rows have the given degrees: returns (alpha_hat, c_hat, r_squared)."""
+    positive = degrees > 0
+    levels, maxima = _shell_maxima(np.diag(entries)[positive], degrees[positive])
+    keep = maxima > 1e-300
+    slope, intercept, r2 = line_fit(levels[keep], np.array([math.log(m) for m in maxima[keep]]))
     return -slope, math.exp(intercept), r2
 
 
 def ntd_from_dtn(dtn_matrix: np.ndarray) -> np.ndarray:
     """Neumann-to-Dirichlet matrix: inverse of the mean-zero block of the
     DtN matrix (constant mode dropped)."""
-    block = np.asarray(dtn_matrix)[1:, 1:]
-    cond = np.linalg.cond(block)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SolverError(f"mean-zero DtN block ill-conditioned (cond ~ {cond:.2e})")
-    return np.linalg.inv(block)
+    return checked_inverse(np.asarray(dtn_matrix)[1:, 1:], "mean-zero DtN block")
 
 
 # ----------------------------------------------------------------------------
@@ -388,11 +402,8 @@ def resistance_matrix(ntd_matrix: np.ndarray, cfg: ElectrodeConfig) -> np.ndarra
         s_op += (x_l - np.outer(c_vecs[l], c_vecs[l]) / lengths[l]) / cfg.impedances[l]
 
     system = np.eye(size) + s_op @ n_full
-    cond = np.linalg.cond(system)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SolverError(f"electrode system ill-conditioned (cond ~ {cond:.2e})")
     # R_pre maps current patterns to arc integrals of N(D) phi
-    w_mat = n_full @ np.linalg.inv(system)
+    w_mat = n_full @ checked_inverse(system, "electrode system")
     r_pre = c_vecs @ w_mat @ c_vecs.T @ np.diag(1.0 / lengths)
     count = cfg.count
     ones = np.ones(count)

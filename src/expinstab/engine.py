@@ -12,12 +12,15 @@ formula; the net side counts the quantized delta(eps)-net of the truncated
 class the engine measures.  Every basis pair of degree <= n_tilde is counted
 from the class degree sequence (65 elements at n_max = 32), and a complex
 (far-field) entry counts the squared component grid that quantize uses.  The
-class constants come from the sampled forward maps: alpha2 is the smallest
-fitted decay rate and C2 the smallest constant making the envelope exact for
-every sampled map at that common rate, per eps and again over the whole run.
-For the electrode problem the class constants are fitted on the
-Neumann-to-Dirichlet differences, the operator family the resistance bound
-factors through.
+class constants come from the sampled forward maps: each shape's forward
+returns its measurement and its class matrix, and ``run_instability`` fits
+the class matrix with ``fit_envelope`` as soon as the shape is solved.
+alpha2 is the smallest fitted decay rate and C2 the smallest constant making
+the envelope exact for every sampled map at that common rate, per eps and
+again over the whole run.  The class matrix is the weighted DtN difference
+for dtn, the Neumann-to-Dirichlet difference for ntd and for electrodes (the
+operator family the resistance bound factors through), and the entrywise
+max over the wave parameters of the far-field magnitudes for farfield.
 
 With these exact counts the pigeonhole margin is negative (about -1e3) on
 the dtn grid eps in {0.12, ..., 0.03} at n_max = 32; the class constants of
@@ -38,13 +41,14 @@ import numpy as np
 
 from expinstab import shapes, spectral
 from expinstab.conductivity import (
+    CONTRAST_GUARD,
     ElectrodeConfig,
-    EnvelopeFit,
     InclusionProblem,
     delta_dtn_weighted,
     dtn_numeric,
     fit_envelope,
     fourier_degrees,
+    line_fit,
     ntd_from_dtn,
     resistance_matrix,
 )
@@ -80,7 +84,10 @@ _RULES = {
     "m": (lambda v: v >= 1, "smoothness order must be >= 1"),
     "beta": (lambda v: v > 0, "norm bound must be positive"),
     "eps_list": (lambda v: v and all(0 < e < 1 for e in v), "eps values must lie in (0, 1)"),
-    "a": (lambda v: v > 0, "contrast must be positive"),
+    "a": (
+        lambda v: v > 0 and (v == 1.0 or abs(v - 1.0) >= CONTRAST_GUARD),
+        f"contrast must be positive and 1 or at least {CONTRAST_GUARD} away from 1",
+    ),
     "a_list": (lambda v: v and all(x > 0 for x in v), "wave parameters must be positive"),
     "n_max": (lambda v: v >= 1, "mode count must be >= 1"),
     "quad_nodes": (lambda v: v >= 32, "quadrature nodes must be >= 32"),
@@ -159,32 +166,25 @@ class ExperimentConfig:
         )
 
 
-@dataclass(frozen=True)
-class _ForwardResult:
-    measurement: np.ndarray
-    fit: EnvelopeFit
-    class_degrees: np.ndarray
-
-
 def _make_forward(cfg: ExperimentConfig):
-    """The problem's forward map, its measurement distance, and a lower bound
-    on that distance evaluated in bulk on a stack of measurement differences."""
+    """The problem's forward map ``shape -> (measurement, class matrix)``, the
+    degrees of the class matrix's rows and columns, the measurement distance,
+    and a lower bound on that distance evaluated in bulk on a stack of
+    measurement differences."""
     if cfg.problem in ("dtn", "ntd", "electrodes"):
         mean_zero_degrees = fourier_degrees(cfg.n_max)[1:]
+        degrees = fourier_degrees(cfg.n_max) if cfg.problem == "dtn" else mean_zero_degrees
         ecfg = ElectrodeConfig.equispaced(cfg.electrodes, cfg.electrode_coverage, cfg.electrode_z)
         ntd_base = np.diag(1.0 / mean_zero_degrees)
 
-        def forward(shape: Shape) -> _ForwardResult:
+        def forward(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
             prob = InclusionProblem(shape, cfg.a, cfg.n_max, cfg.quad_nodes)
             if cfg.problem == "dtn":
-                op = delta_dtn_weighted(prob)
-                return _ForwardResult(op.entries, op.envelope, op.degrees)
+                weighted = delta_dtn_weighted(prob)
+                return weighted, weighted
             ntd = ntd_from_dtn(dtn_numeric(prob))
-            fit = fit_envelope(ntd - ntd_base, mean_zero_degrees)
-            if cfg.problem == "ntd":
-                return _ForwardResult(ntd, fit, mean_zero_degrees)
-            r_mat = resistance_matrix(ntd, ecfg)
-            return _ForwardResult(r_mat, fit, mean_zero_degrees)
+            measurement = ntd if cfg.problem == "ntd" else resistance_matrix(ntd, ecfg)
+            return measurement, ntd - ntd_base
 
         def dist(m1: np.ndarray, m2: np.ndarray) -> float:
             return float(np.linalg.norm(m1 - m2, 2))
@@ -193,16 +193,15 @@ def _make_forward(cfg: ExperimentConfig):
             # ||A||_2 >= max_j ||A e_j||: the largest column norm
             return np.sqrt(np.einsum("kij,kij->kj", diffs, diffs).max(axis=1))
 
-        return forward, dist, lower_bound
+        return forward, degrees, dist, lower_bound
 
     degrees = fourier_degrees(cfg.scatter_n_max)
 
-    def forward(shape: Shape) -> _ForwardResult:
+    def forward(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
         prob = ObstacleProblem(shape, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions)
         fields = farfield_numeric(prob)
         stacked = np.stack([fields[a].entries for a in cfg.a_list])
-        fit = fit_envelope(np.abs(stacked).max(axis=0), degrees)
-        return _ForwardResult(stacked, fit, degrees)
+        return stacked, np.abs(stacked).max(axis=0)
 
     def dist(m1: np.ndarray, m2: np.ndarray) -> float:
         # sup over the wave-parameter set of the L^2 far-field difference
@@ -212,7 +211,7 @@ def _make_forward(cfg: ExperimentConfig):
         # the same sup, summed in another order
         return np.linalg.norm(diffs, axis=(2, 3)).max(axis=1)
 
-    return forward, dist, lower_bound
+    return forward, degrees, dist, lower_bound
 
 
 @dataclass(frozen=True)
@@ -251,36 +250,35 @@ class InstabilityReport:
     eps0: float = math.nan
 
 
-def _min_norm_pair(measurements: list[np.ndarray], dist, lower_bound) -> tuple[int, int, float]:
-    """The pair i < j of smallest ``dist`` and that distance; among equal
-    distances the lexicographically first pair wins.
+def _min_norm_pair(stack: np.ndarray, dist, lower_bound) -> tuple[int, int, float]:
+    """The pair i < j of measurements ``stack[i]``, ``stack[j]`` of smallest
+    ``dist`` and that distance; among equal distances the lexicographically
+    first pair wins.
 
     Pairs are visited in ascending order of ``lower_bound`` and ``dist`` is
     taken only while the bound, shrunk by ``BOUND_SLACK``, can still reach
     the best distance found, so the result is the exhaustive search's.
     """
-    stack = np.stack(measurements)
-    rows, cols = np.triu_indices(len(measurements), 1)
-    bounds = np.concatenate(
-        [lower_bound(stack[i + 1 :] - stack[i]) for i in range(len(measurements) - 1)]
-    )
+    rows, cols = np.triu_indices(len(stack), 1)
+    bounds = np.concatenate([lower_bound(stack[i + 1 :] - stack[i]) for i in range(len(stack) - 1)])
     best = (math.inf, 0, 1)
     for k in np.argsort(bounds, kind="stable"):
         if bounds[k] * (1.0 - BOUND_SLACK) > best[0]:
             break
         i, j = int(rows[k]), int(cols[k])
-        best = min(best, (dist(measurements[i], measurements[j]), i, j))
+        best = min(best, (dist(stack[i], stack[j]), i, j))
     d, i, j = best
     return i, j, d
 
 
 def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
     """For each eps of ``cfg.eps_list``, draw <= ``cfg.budget`` patterns of
-    the packing family, compute the forward maps, and record the pair
-    minimizing the measurement-space distance.  Deterministic: identical
-    configs (seed included) give identical reports.
+    the packing family, compute the forward maps, fit the envelope of each
+    class matrix, and record the pair minimizing the measurement-space
+    distance.  Deterministic: identical configs (seed included) give
+    identical reports.
     """
-    forward, dist, lower_bound = _make_forward(cfg)
+    forward, degrees, dist, lower_bound = _make_forward(cfg)
     cls = cfg.shape_class()
     records = []
     fits = []
@@ -292,13 +290,21 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
         rng = np.random.default_rng([cfg.seed, index])
         patterns = family.sample_patterns(rng, cfg.budget)
         built = [family.shape(p) for p in patterns]
-        results = [forward(s) for s in built]
-        i, j, best = _min_norm_pair([r.measurement for r in results], dist, lower_bound)
+        # measurements go straight into one array: a list stacked afterwards
+        # keeps its copy on the heap through the pair search (6.8 MB at dtn
+        # budget 200), and no class matrix outlives its fit
+        stack, eps_fits = None, []
+        for k, shape in enumerate(built):
+            measurement, class_matrix = forward(shape)
+            if stack is None:
+                stack = np.empty((len(built), *measurement.shape), measurement.dtype)
+            stack[k] = measurement
+            eps_fits.append(fit_envelope(class_matrix, degrees))
+        i, j, best = _min_norm_pair(stack, dist, lower_bound)
         floored = best < NORM_FLOOR
         best = max(best, NORM_FLOOR)
         d_h = hausdorff_distance(built[i], built[j], samples=DISTANCE_SAMPLES)
         res = hausdorff_resolution(built[i], built[j], samples=DISTANCE_SAMPLES)
-        eps_fits = [r.fit for r in results]
         alpha2 = min(f.alpha2 for f in eps_fits)
         c2 = max(f.c2_at(alpha2) for f in eps_fits)
         fits.extend(eps_fits)
@@ -311,8 +317,8 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
             c2,
             alpha2,
             1.0,
-            degrees=results[0].class_degrees,
-            complex_entries=np.iscomplexobj(results[0].measurement),
+            degrees=degrees,
+            complex_entries=np.iscomplexobj(stack),
         ).log_bound
         ok, margin = counting_check(float(eps), packing_log, net_log)
         records.append(
@@ -362,11 +368,5 @@ def fit_instability_exponent(report: InstabilityReport) -> tuple[float, float]:
     usable = norms < 1.0
     if usable.sum() < 2:
         return math.nan, 0.0
-    x = np.log(1.0 / eps[usable])
-    y = np.log(-np.log(norms[usable]))
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
+    slope, _, r2 = line_fit(np.log(1.0 / eps[usable]), np.log(-np.log(norms[usable])))
+    return slope, r2

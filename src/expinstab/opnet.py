@@ -4,9 +4,11 @@ covering counts, and the epsilon/delta bookkeeping of the instability argument.
 A class member is a (truncated) matrix b_kl with attached degrees gamma_k and
 constants (C2, alpha2, p) such that |b_kl| <= C2 * exp(-alpha2 * max(gamma_k,
 gamma_l)) and the degree counting function grows like C2 * (1+n)^p.  The
-quantizer rounds all entries below the degree cutoff n_tilde onto the grid
-delta' * Z intersected with [-C2, C2] and zeroes the rest; this is a delta-net
-in operator norm via the Y-norm comparison constant C4.
+constants are inputs: the engine fits them on the sampled forward maps with
+conductivity.fit_envelope.  The quantizer rounds all entries below the degree
+cutoff n_tilde onto the grid delta' * Z intersected with [-C2, C2] and zeroes
+the rest; this is a delta-net in operator norm via the Y-norm comparison
+constant C4.
 """
 
 from __future__ import annotations
@@ -19,16 +21,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Finite truncation of a weighted operator matrix with class constants;
-    ``envelope`` is the fit the constants came from, when they were fitted
-    (a ``conductivity.EnvelopeFit``)."""
+    """Finite truncation of a weighted operator matrix with class constants."""
 
     entries: np.ndarray
     degrees: np.ndarray
     c2: float
     alpha2: float
     p: float
-    envelope: object = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries)

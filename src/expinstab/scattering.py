@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from expinstab import shapes, special
-from expinstab.conductivity import SolverError, fit_envelope, fourier_degrees
-from expinstab.opnet import OperatorMatrix
+from expinstab.conductivity import checked_solve, fourier_degrees
 from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
 from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
 
@@ -267,13 +266,7 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     dirs = np.column_stack([np.cos(omega), np.sin(omega)])
     # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower
     rhs = -np.exp(1j * (k * nodes.points @ dirs.T))
-    try:
-        densities = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SolverError(f"combined-field system singular: {exc}") from exc
-    residual = np.max(np.abs(system @ densities - rhs))
-    if not np.isfinite(residual) or residual > 1e-8:
-        raise SolverError(f"combined-field solve residual {residual:.2e}")
+    densities = checked_solve(system, rhs, "combined-field")
     return ScatteringSolution(nodes, a, eta, omega, densities)
 
 
@@ -317,9 +310,3 @@ def farfield_numeric(prob: ObstacleProblem) -> dict[float, FarFieldMatrix]:
         entries = _project_far_field(grid, prob.n_max)
         out[wave] = FarFieldMatrix(entries, degrees, wave, reciprocity_residual(grid))
     return out
-
-
-def farfield_operator(matrix: FarFieldMatrix, p: float = 1.0) -> OperatorMatrix:
-    """Far-field matrix as a weighted-class operator with fitted constants."""
-    fit = fit_envelope(np.abs(matrix.entries), matrix.degrees)
-    return OperatorMatrix(matrix.entries, matrix.degrees, fit.c2, fit.alpha2, p, fit)

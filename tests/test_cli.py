@@ -50,6 +50,27 @@ class TestParseConfig:
         assert info.value.key == key
 
 
+class TestReportColumns:
+    def test_report_columns_are_pinned(self):
+        # report.csv keeps these columns, in this order
+        assert cli.REPORT_HEADER == [
+            "eps",
+            "pattern_a",
+            "pattern_b",
+            "hausdorff",
+            "resolution",
+            "op_norm_diff",
+            "delta_eps",
+            "packing_log_count",
+            "certified_log_cardinality",
+            "net_log_bound",
+            "counting_ok",
+            "margin",
+            "sample_count",
+            "norm_floored",
+        ]
+
+
 class TestCsv:
     def test_empty_report_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -185,7 +206,9 @@ class TestSubcommands:
         assert len(calls) == 1
         # the weighted difference formed from that one solve is delta_dtn_weighted's
         rows = (tmp_path / "fwd" / "decay_fit.csv").read_text().splitlines()[1:]
-        expected = conductivity.diagonal_decay_fit(conductivity.delta_dtn_weighted(calls[0]))
+        expected = conductivity.diagonal_decay_fit(
+            conductivity.delta_dtn_weighted(calls[0]), conductivity.fourier_degrees(6)
+        )
         assert [float(r.split(",")[1]) for r in rows] == list(expected)
 
     def test_instability_deterministic_bytes(self, tmp_path):
@@ -296,3 +319,36 @@ class TestSubcommands:
     def test_missing_shape_file_is_config_error(self, tmp_path):
         code = cli.main(["--out", str(tmp_path), "forward", "--shape-file", str(tmp_path / "nope.txt")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["forward", "--shape-file", "no_m.txt"], "no_m.txt"),
+            (["forward", "--shape-file", "word.txt"], "word.txt"),
+            (["forward", "--shape-file", "flat.txt"], "flat.txt"),
+            (["scatter", "--shape-file", "flat.txt"], "flat.txt"),
+            (["forward", "--shape-file", "wide.txt"], "wide.txt"),
+            (["forward", "--shape-file", "disk.txt", "--a", "1.0000001"], "--a"),
+            (["instability", "--a", "1.0000001"], "--a"),
+        ],
+        ids=["missing_key", "non_numeric", "forward_flat", "scatter_flat", "past_0.8",
+             "forward_contrast", "instability_contrast"],
+    )
+    def test_bad_input_is_a_one_line_config_error(self, argv, named, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        disk = shapes.Shape(
+            shapes.RADIAL_SUBGRAPH,
+            shapes.RadialProfile(np.zeros(64), base_radius=0.5, amplitude_cap=0.25),
+        )
+        save_shape(disk, "disk.txt")
+        text = shapes.shape_to_text(disk).splitlines(keepends=True)
+        (tmp_path / "no_m.txt").write_text("".join(line for line in text if not line.startswith("M=")))
+        (tmp_path / "word.txt").write_text("".join(text[:7] + ["abc\n"] + text[8:]))
+        save_shape(shapes.Shape(shapes.FLAT_SUBGRAPH, shapes.FlatProfile(np.zeros(64))), "flat.txt")
+        wide = shapes.RadialProfile(np.full(64, 0.4), base_radius=0.5, amplitude_cap=0.5)
+        save_shape(shapes.Shape(shapes.RADIAL_SUBGRAPH, wide), "wide.txt")
+        code = cli.main(["--out", "out", *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err

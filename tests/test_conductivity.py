@@ -27,7 +27,6 @@ from expinstab.conductivity import (
     ntd_from_dtn,
     resistance_matrix,
 )
-from expinstab.opnet import OperatorMatrix
 from expinstab.packing import ShapeClass, build_packing
 from expinstab.shapes import RadialProfile, Shape
 
@@ -317,9 +316,9 @@ class TestWeightedDifference:
     def test_concentric_diagonal_closed_form(self):
         rho, a = 0.5, 2.0
         prob = InclusionProblem(disk_shape(np.zeros(2048)), a, 10, 256)
-        op = delta_dtn_weighted(prob)
+        entries = delta_dtn_weighted(prob)
         mu = (1.0 - a) / (1.0 + a)
-        diag = np.abs(np.diag(op.entries))
+        diag = np.abs(np.diag(entries))
         for n in range(1, 11):
             expected = 2 * n * abs(mu) * rho ** (2 * n) / ((1 + n) * (1 + mu * rho ** (2 * n)))
             assert diag[2 * n - 1] == pytest.approx(expected, rel=1e-8)
@@ -327,14 +326,12 @@ class TestWeightedDifference:
 
     def test_unit_contrast_zero_matrix(self):
         prob = InclusionProblem(disk_shape(np.zeros(512)), 1.0, 6, 128)
-        op = delta_dtn_weighted(prob)
-        assert not op.entries.any()
+        assert not delta_dtn_weighted(prob).any()
 
     @pytest.mark.parametrize("rho", [0.5, 0.7])
     def test_fitted_decay_matches_two_log_inv_rho(self, rho):
         prob = InclusionProblem(disk_shape(np.zeros(2048), r=rho), 2.0, 16, 256)
-        op = delta_dtn_weighted(prob)
-        alpha_hat, _, r2 = diagonal_decay_fit(op)
+        alpha_hat, _, r2 = diagonal_decay_fit(delta_dtn_weighted(prob), fourier_degrees(16))
         target = 2.0 * math.log(1.0 / rho)
         assert abs(alpha_hat - target) / target <= 0.10
         assert r2 > 0.99
@@ -342,11 +339,12 @@ class TestWeightedDifference:
     def test_envelope_exact_after_fit(self):
         rng = np.random.default_rng(3)
         prob = InclusionProblem(smooth_inclusion(rng), 2.0, 12, 256)
-        op = delta_dtn_weighted(prob)
-        maxdeg = np.maximum.outer(op.degrees, op.degrees)
-        violations = np.abs(op.entries) > op.c2 * np.exp(-op.alpha2 * maxdeg) * (1 + 1e-12)
+        entries, degrees = delta_dtn_weighted(prob), fourier_degrees(12)
+        fit = fit_envelope(entries, degrees)
+        maxdeg = np.maximum.outer(degrees, degrees)
+        violations = np.abs(entries) > fit.c2 * np.exp(-fit.alpha2 * maxdeg) * (1 + 1e-12)
         assert violations.sum() == 0
-        assert op.alpha2 > 0
+        assert fit.alpha2 > 0
 
     def test_one_shell_fallback_is_a_bound(self):
         # a single shell gives no decay to regress on: the fit keeps rate 1
@@ -400,13 +398,12 @@ class TestShellMaxima:
     def test_diagonal_decay_fit(self):
         entries, _ = self.matrix(2)
         diag = np.diag(entries)
-        op = OperatorMatrix(entries, self.DEGREES, 1.0, 1.0, 1.0)
         positive = self.DEGREES > 0
         shells = brute_shell_maxima(diag[positive], self.DEGREES[positive])
         ns, ys = np.array(shells[0]), np.log(shells[1])
         slope, intercept = np.polyfit(ns, ys, 1)
         r2 = 1.0 - np.sum((ys - (slope * ns + intercept)) ** 2) / np.sum((ys - ys.mean()) ** 2)
-        alpha_hat, c_hat, r_squared = diagonal_decay_fit(op)
+        alpha_hat, c_hat, r_squared = diagonal_decay_fit(entries, self.DEGREES)
         assert alpha_hat == pytest.approx(-slope, rel=1e-12)
         assert c_hat == pytest.approx(math.exp(intercept), rel=1e-12)
         assert r_squared == pytest.approx(r2, rel=1e-12)

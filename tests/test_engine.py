@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expinstab.conductivity import InclusionProblem, delta_dtn_weighted, fourier_degrees
+from expinstab.conductivity import (
+    InclusionProblem,
+    delta_dtn_weighted,
+    dtn_numeric,
+    fourier_degrees,
+    ntd_from_dtn,
+)
 from expinstab.engine import (
     ConfigError,
     ExperimentConfig,
@@ -18,6 +24,7 @@ from expinstab.engine import (
 )
 from expinstab.opnet import net_size_log_bound
 from expinstab.packing import build_packing
+from expinstab.scattering import ObstacleProblem, farfield_numeric
 
 
 def synthetic_report(eps_values, norms):
@@ -140,6 +147,36 @@ class TestRunInstability:
             ExperimentConfig(problem="sonar")
 
 
+def class_matrix(cfg, shape):
+    """|entries| and degrees of the matrix whose envelope gives the class
+    constants of cfg.problem, computed from the forward solvers directly."""
+    if cfg.problem == "farfield":
+        prob = ObstacleProblem(shape, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions)
+        fields = farfield_numeric(prob)
+        magnitudes = np.max([np.abs(fields[a].entries) for a in cfg.a_list], axis=0)
+        return magnitudes, fourier_degrees(cfg.scatter_n_max)
+    prob = InclusionProblem(shape, cfg.a, cfg.n_max, cfg.quad_nodes)
+    if cfg.problem == "dtn":
+        return np.abs(delta_dtn_weighted(prob)), fourier_degrees(cfg.n_max)
+    degrees = fourier_degrees(cfg.n_max)[1:]
+    return np.abs(ntd_from_dtn(dtn_numeric(prob)) - np.diag(1.0 / degrees)), degrees
+
+
+def smallest_class_c2(cfg, alpha2):
+    """Smallest C2 with |b_jk| <= C2 exp(-alpha2 max(gamma_j, gamma_k)) on
+    every class matrix sampled at cfg's one eps (entries <= 1e-14 aside)."""
+    (eps,) = cfg.eps_list
+    family = build_packing(cfg.shape_class(), eps)
+    # the engine samples eps number `index` with default_rng([seed, index])
+    patterns = family.sample_patterns(np.random.default_rng([cfg.seed, 0]), cfg.budget)
+    smallest = 0.0
+    for pattern in patterns:
+        entries, degrees = class_matrix(cfg, family.shape(pattern))
+        decay = np.exp(alpha2 * np.maximum.outer(degrees, degrees))
+        smallest = max(smallest, float(np.max(np.where(entries > 1e-14, entries * decay, 0.0))))
+    return smallest
+
+
 class TestCountedNet:
     """One-eps dtn run at the criterion-10 scale: the class constants and the
     counted net bound behind the record's margin."""
@@ -154,18 +191,7 @@ class TestCountedNet:
         return run_instability(self.CFG)
 
     def test_class_c2_is_smallest_envelope_constant(self, report):
-        # the engine samples eps number `index` with default_rng([seed, index])
-        family = build_packing(self.CFG.shape_class(), self.EPS)
-        patterns = family.sample_patterns(np.random.default_rng([self.SEED, 0]), self.BUDGET)
-        degrees = fourier_degrees(self.CFG.n_max)
-        decay = np.exp(report.class_alpha2 * np.maximum.outer(degrees, degrees))
-        smallest = 0.0
-        for pattern in patterns:
-            prob = InclusionProblem(
-                family.shape(pattern), self.CFG.a, self.CFG.n_max, self.CFG.quad_nodes
-            )
-            entries = np.abs(delta_dtn_weighted(prob).entries)
-            smallest = max(smallest, float(np.max(np.where(entries > 1e-14, entries * decay, 0.0))))
+        smallest = smallest_class_c2(self.CFG, report.class_alpha2)
         assert report.class_c2 == pytest.approx(smallest, rel=1e-12)
 
     def test_net_bound_counts_every_basis_pair(self, report):
@@ -179,6 +205,23 @@ class TestCountedNet:
         )
         assert rec.net_log_bound == bound.log_bound
         assert rec.margin == rec.packing_log_count - bound.log_bound
+
+
+@pytest.mark.parametrize(
+    "problem, sizes",
+    [
+        ("ntd", dict(n_max=6, quad_nodes=96)),
+        ("electrodes", dict(n_max=6, quad_nodes=96, electrodes=4)),
+        ("farfield", dict(scatter_n_max=6, scatter_quad=64, directions=16)),
+    ],
+    ids=["ntd", "electrodes", "farfield"],
+)
+def test_class_c2_of_every_problem_is_smallest_envelope_constant(problem, sizes):
+    # dtn is TestCountedNet's; the others fit other class matrices
+    cfg = ExperimentConfig(problem=problem, eps_list=(0.1,), budget=4, seed=99, **sizes)
+    report = run_instability(cfg)
+    smallest = smallest_class_c2(cfg, report.class_alpha2)
+    assert report.class_c2 == pytest.approx(smallest, rel=1e-12)
 
 
 def exhaustive_pair(measurements, dist):
@@ -233,7 +276,7 @@ class TestPrunedPairSearch:
     # stops after the first pair (found with numpy 2.4.6 on OpenBLAS 0.3.31)
     @example(problem="dtn", layout="one_column", count=6, size=6, seed=0)
     def test_equals_exhaustive_search(self, problem, layout, count, size, seed):
-        _, dist, lower_bound = _make_forward(ExperimentConfig(problem=problem))
+        _, _, dist, lower_bound = _make_forward(ExperimentConfig(problem=problem))
         rng = np.random.default_rng(seed)
         if problem == "dtn":
             stack = draw_measurements(rng, layout, (count, size, size))
@@ -242,13 +285,12 @@ class TestPrunedPairSearch:
             stack = draw_measurements(rng, layout, (count, 2, size, size)) * (3.0 + 4.0j)
             if layout == "random":
                 stack += 1j * rng.normal(size=stack.shape)
-        measurements = list(stack)
-        expected = exhaustive_pair(measurements, dist)
-        assert _min_norm_pair(measurements, dist, lower_bound) == expected
+        expected = exhaustive_pair(list(stack), dist)
+        assert _min_norm_pair(stack, dist, lower_bound) == expected
 
     def test_equal_distances_go_to_the_first_pair(self):
         # (0, 2) has the smaller bound and is measured first; (0, 1) ties it
-        _, dist, lower_bound = _make_forward(ExperimentConfig(problem="dtn"))
-        measurements = [np.zeros((2, 2)), np.array([[2.0, 0.0], [0.0, 0.0]]), -np.ones((2, 2))]
-        assert dist(measurements[0], measurements[1]) == dist(measurements[0], measurements[2])
-        assert _min_norm_pair(measurements, dist, lower_bound) == (0, 1, 2.0)
+        _, _, dist, lower_bound = _make_forward(ExperimentConfig(problem="dtn"))
+        stack = np.stack([np.zeros((2, 2)), np.array([[2.0, 0.0], [0.0, 0.0]]), -np.ones((2, 2))])
+        assert dist(stack[0], stack[1]) == dist(stack[0], stack[2])
+        assert _min_norm_pair(stack, dist, lower_bound) == (0, 1, 2.0)

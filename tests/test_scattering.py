@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expinstab import scattering, shapes, special
+from expinstab.conductivity import fit_envelope
 from expinstab.scattering import (
     FarFieldMatrix,
     disk_mode_coefficients,
@@ -13,7 +14,6 @@ from expinstab.scattering import (
     farfield_disk,
     farfield_l2_norm,
     farfield_numeric,
-    farfield_operator,
     hankel_bound_check,
     _basis_traces,
     _distances,
@@ -146,10 +146,10 @@ class TestNumericFarField:
         rng = np.random.default_rng(1)
         prob = ObstacleProblem(smooth_obstacle(rng), (4.0,), 14, 256, 64)
         mat = farfield_numeric(prob)[4.0]
-        op = farfield_operator(mat)
-        assert op.alpha2 > 0
-        maxdeg = np.maximum.outer(op.degrees, op.degrees)
-        violations = np.abs(op.entries) > op.c2 * np.exp(-op.alpha2 * maxdeg) * (1 + 1e-12)
+        fit = fit_envelope(np.abs(mat.entries), mat.degrees)
+        assert fit.alpha2 > 0
+        maxdeg = np.maximum.outer(mat.degrees, mat.degrees)
+        violations = np.abs(mat.entries) > fit.c2 * np.exp(-fit.alpha2 * maxdeg) * (1 + 1e-12)
         assert violations.sum() == 0
 
     def test_scattered_field_uniform_decay(self):
