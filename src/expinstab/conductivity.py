@@ -12,9 +12,10 @@ second-kind equation
 
 with K* the normal-derivative layer operator; on smooth star-shaped
 interfaces the kernel is continuous (diagonal limit through the curvature)
-and the periodic trapezoid rule converges spectrally.  The kernel is filled in
-cache-sized row blocks, bit for bit the full-array build at about a quarter of
-its peak memory, into an array that each thread keeps between shapes.  Matrix
+and the periodic trapezoid rule converges spectrally.  The kernel's transpose
+is filled in cache-sized row blocks, bit for bit the full-array build at about
+a quarter of its peak memory, into an array that each thread keeps between
+shapes; LAPACK then reads the kernel in Fortran order without a copy.  Matrix
 entries against the circle Fourier basis reduce to interface integrals of phi
 against the harmonic extensions, so no volume mesh is needed.  This replaces a
 finite-difference interior solver; the concentric closed form serves as the
@@ -108,16 +109,18 @@ def dtn_concentric(rho: float, a: float, n_max: int) -> np.ndarray:
     return n * (1.0 - shrink) / (1.0 + shrink)
 
 
-def _normal_quotients(points: np.ndarray, normals: np.ndarray, px: np.ndarray, py: np.ndarray,
+def _normal_quotients(frame: np.ndarray, px: np.ndarray, py: np.ndarray,
                       out: np.ndarray, scratch: list[np.ndarray]) -> None:
-    """Write nu(x_i).(x_i - p_j) / |x_i - p_j|^2 into out for the interface
-    nodes x_i of a row block and points p_j; scratch holds three arrays of
-    out's shape."""
+    """Write nu(x_j).(x_j - p_i) / |x_j - p_i|^2 into out[i, j] for the
+    interface nodes x_j, whose coordinates and normal components are the rows
+    x, y, nu_x, nu_y of frame, and the points p_i of a row block, given as
+    the columns px, py; scratch holds three arrays of out's shape."""
+    x, y, nu_x, nu_y = frame
     dx, dy, term = scratch
-    np.subtract(points[:, :1], px, out=dx)
-    np.subtract(points[:, 1:], py, out=dy)
-    np.multiply(normals[:, :1], dx, out=out)
-    np.multiply(normals[:, 1:], dy, out=term)
+    np.subtract(x, px, out=dx)
+    np.subtract(y, py, out=dy)
+    np.multiply(nu_x, dx, out=out)
+    np.multiply(nu_y, dy, out=term)
     out += term
     dx *= dx
     dy *= dy
@@ -140,13 +143,16 @@ def _kernel_array(n: int) -> np.ndarray:
 def _kstar_matrix(nodes: BoundaryNodes, kernel: np.ndarray) -> np.ndarray:
     """Weighted kernel of dG/dnu(x) for the disk Green's function:
     -(1/2pi) nu(x).(x-y)/|x-y|^2  +  (1/2pi) nu(x).(x-y*)/|x-y*|^2,
-    times the trapezoid weight of y (1/2pi and the weights are one column scale),
-    written into the n x n array kernel and returned.
+    times the trapezoid weight of y (1/2pi and the weights are one column scale).
 
-    Filled ROW_BLOCK rows at a time so the work arrays stay in cache; every
-    entry goes through the same operations as a full-array build."""
+    The kernel's transpose is written into the n x n array kernel and
+    kernel.T is returned: a Fortran-ordered view, which LAPACK factors
+    without a transposing copy.  Filled ROW_BLOCK rows (kernel columns) at a
+    time so the work arrays stay in cache; every entry goes through the same
+    operations as a full-array build of the kernel."""
     n = nodes.weights.size
-    x, y = nodes.points[:, 0], nodes.points[:, 1]
+    frame = np.vstack([nodes.points.T, nodes.normals.T])  # contiguous x, y, nu_x, nu_y
+    x, y = frame[0], frame[1]
     # image part: y* = y/|y|^2, smooth since |y*| >= 1/0.8 > |x|
     r2 = np.hypot(x, y) ** 2
     image_x, image_y = x / r2, y / r2
@@ -156,14 +162,14 @@ def _kstar_matrix(nodes: BoundaryNodes, kernel: np.ndarray) -> np.ndarray:
     work = np.empty((4, min(ROW_BLOCK, n), n))
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))
-        points, normals, block = nodes.points[rows], nodes.normals[rows], kernel[rows]
+        block = kernel[rows]
         log_part, *scratch = work[:, : block.shape[0]]
-        _normal_quotients(points, normals, image_x, image_y, block, scratch)
-        _normal_quotients(points, normals, x, y, log_part, scratch)
+        _normal_quotients(frame, image_x[rows, None], image_y[rows, None], block, scratch)
+        _normal_quotients(frame, x[rows, None], y[rows, None], log_part, scratch)
         log_part.flat[start :: n + 1] = log_diagonal[rows]
         block -= log_part
-        block *= scale
-    return kernel
+        block *= scale[rows, None]
+    return kernel.T
 
 
 def _mode_traces(nodes: BoundaryNodes, n_max: int):
@@ -205,8 +211,8 @@ def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
         return base
     nodes = shapes.boundary_nodes(prob.shape.profile, prob.quad_nodes)
     lam_c = (prob.contrast + 1.0) / (2.0 * (prob.contrast - 1.0))
-    system = _kstar_matrix(nodes, _kernel_array(prob.quad_nodes))
-    system.flat[:: prob.quad_nodes + 1] += lam_c
+    system = _kstar_matrix(nodes, _kernel_array(prob.quad_nodes))  # Fortran-ordered
+    system[np.diag_indices_from(system)] += lam_c
     values, d_normal = _mode_traces(nodes, n_max)
     # phi is minus the density; negation is exact, so no bit of delta moves
     phi = checked_solve(system, d_normal, "transmission")

@@ -68,6 +68,11 @@ DISTANCE_SAMPLES = 512
 # bound can then never prune the pair of smallest distance
 BOUND_SLACK = 1e-10
 
+# measurements per block of pair differences in the witness search's bounds:
+# the block, not a whole stack's worth of differences, is the search's
+# transient (16 x 65 x 65 doubles, 0.5 MB, at dtn n_max 32)
+ROWS = 16
+
 
 class ConfigError(ValueError):
     """Invalid configuration input; ``key`` names the setting at fault."""
@@ -250,6 +255,19 @@ class InstabilityReport:
     eps0: float = math.nan
 
 
+def _pair_bounds(stack: np.ndarray, lower_bound) -> np.ndarray:
+    """``lower_bound`` of every difference ``stack[j] - stack[i]``, i < j, in
+    ``np.triu_indices`` order.  At most ROWS differences exist at a time;
+    each bound reduces within its own difference, so the values are those of
+    one pass over all of a row's differences."""
+    count = len(stack)
+    return np.concatenate([
+        lower_bound(stack[s : s + ROWS] - stack[i])
+        for i in range(count - 1)
+        for s in range(i + 1, count, ROWS)
+    ])
+
+
 def _min_norm_pair(stack: np.ndarray, dist, lower_bound) -> tuple[int, int, float]:
     """The pair i < j of measurements ``stack[i]``, ``stack[j]`` of smallest
     ``dist`` and that distance; among equal distances the lexicographically
@@ -260,7 +278,7 @@ def _min_norm_pair(stack: np.ndarray, dist, lower_bound) -> tuple[int, int, floa
     the best distance found, so the result is the exhaustive search's.
     """
     rows, cols = np.triu_indices(len(stack), 1)
-    bounds = np.concatenate([lower_bound(stack[i + 1 :] - stack[i]) for i in range(len(stack) - 1)])
+    bounds = _pair_bounds(stack, lower_bound)
     best = (math.inf, 0, 1)
     for k in np.argsort(bounds, kind="stable"):
         if bounds[k] * (1.0 - BOUND_SLACK) > best[0]:
@@ -289,22 +307,23 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
         eps0 = family.eps0
         rng = np.random.default_rng([cfg.seed, index])
         patterns = family.sample_patterns(rng, cfg.budget)
-        built = [family.shape(p) for p in patterns]
         # measurements go straight into one array: a list stacked afterwards
         # keeps its copy on the heap through the pair search (6.8 MB at dtn
-        # budget 200), and no class matrix outlives its fit
+        # budget 200).  No shape outlives its solve and no class matrix its
+        # fit; the witness pair's shapes are built again from their patterns.
         stack, eps_fits = None, []
-        for k, shape in enumerate(built):
-            measurement, class_matrix = forward(shape)
+        for k, pattern in enumerate(patterns):
+            measurement, class_matrix = forward(family.shape(pattern))
             if stack is None:
-                stack = np.empty((len(built), *measurement.shape), measurement.dtype)
+                stack = np.empty((len(patterns), *measurement.shape), measurement.dtype)
             stack[k] = measurement
             eps_fits.append(fit_envelope(class_matrix, degrees))
         i, j, best = _min_norm_pair(stack, dist, lower_bound)
         floored = best < NORM_FLOOR
         best = max(best, NORM_FLOOR)
-        d_h = hausdorff_distance(built[i], built[j], samples=DISTANCE_SAMPLES)
-        res = hausdorff_resolution(built[i], built[j], samples=DISTANCE_SAMPLES)
+        shape_i, shape_j = family.shape(patterns[i]), family.shape(patterns[j])
+        d_h = hausdorff_distance(shape_i, shape_j, samples=DISTANCE_SAMPLES)
+        res = hausdorff_resolution(shape_i, shape_j, samples=DISTANCE_SAMPLES)
         alpha2 = min(f.alpha2 for f in eps_fits)
         c2 = max(f.c2_at(alpha2) for f in eps_fits)
         fits.extend(eps_fits)

@@ -175,7 +175,11 @@ def _symmetric_jy01(kr: np.ndarray):
 
 def _kernel_matrices(nodes: BoundaryNodes, k: float, eta: float):
     """Log-split combined kernel: K1 * ln(4 sin^2) + K2, with trapezoid/log
-    quadrature baked into the returned dense matrix."""
+    quadrature baked into the returned dense matrix.
+
+    Every product in the complex kernels has a real or a purely imaginary
+    factor, so their real and imaginary planes are computed apart in float64,
+    bit for bit the complex form's products and sums."""
     n = nodes.jac.size
     log_fac, r_weights, _, _ = _quadrature_tables(n)
     r, nu_dot = _distances(nodes.points, nodes)
@@ -183,30 +187,35 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float, eta: float):
     # r is bitwise symmetric: its entries come from negated coordinate differences
     j0, j1, y0, y1 = _symmetric_jy01(k * r)
     jac_row = nodes.jac[None, :]
+    nu_cos = nu_dot / r
 
-    # double layer: (ik/4) H1(kr) (nu(y).(x-y)/r) |x'(y)|
-    kd = (1j * k / 4.0) * (j1 + 1j * y1) * (nu_dot / r) * jac_row
-    kd1 = -(k / (4.0 * math.pi)) * j1 * (nu_dot / r) * jac_row
-    # single layer: (i/4) H0(kr) |x'(y)|
-    ks = (1j / 4.0) * (j0 + 1j * y0) * jac_row
-    ks1 = -(1.0 / (4.0 * math.pi)) * j0 * jac_row
-
-    k1 = kd1 - 1j * eta * ks1
-    k_full = kd - 1j * eta * ks
-    k2 = k_full - k1 * log_fac
-    # analytic diagonal limits; the double layer's is nu.x''/(4 pi |x'|) = -kappa |x'|/(4 pi)
+    # K = (ik/4) H1(kr) (nu(y).(x-y)/r) |x'(y)| - i eta (i/4) H0(kr) |x'(y)|,
+    # double layer minus i eta times single layer, with H = J + iY
+    k2_re = -(k / 4.0) * y1 * nu_cos * jac_row
+    k2_re += eta * (0.25 * j0 * jac_row)
+    k2_im = (k / 4.0) * j1 * nu_cos * jac_row
+    k2_im += eta * (0.25 * y0 * jac_row)
+    # K1 = -(k/4pi) J1(kr) (...) |x'| - i eta (-(1/4pi) J0(kr) |x'|)
+    k1_re = -(k / (4.0 * math.pi)) * j1 * nu_cos * jac_row
+    k1_im = eta * ((1.0 / (4.0 * math.pi)) * j0 * jac_row)
+    # K2 = K - K1 ln(4 sin^2)
+    k2_re -= k1_re * log_fac
+    k2_im -= k1_im * log_fac
+    # analytic diagonal limits; the double layer's is nu.x''/(4 pi |x'|) = -kappa |x'|/(4 pi),
+    # the single layer's (i/4 - gamma/(2 pi) - ln(k |x'|/2)/(2 pi)) |x'|
     kd2_diag = -nodes.curvature * nodes.jac / (4.0 * math.pi)
-    ks2_diag = (
-        (1j / 4.0)
-        - special.EULER_GAMMA / (2.0 * math.pi)
-        - np.log(0.5 * k * nodes.jac) / (2.0 * math.pi)
-    ) * nodes.jac
-    np.fill_diagonal(k2, kd2_diag - 1j * eta * ks2_diag)
+    ks2_log = special.EULER_GAMMA / (2.0 * math.pi) + np.log(0.5 * k * nodes.jac) / (2.0 * math.pi)
+    np.fill_diagonal(k2_re, kd2_diag + eta * (0.25 * nodes.jac))
+    np.fill_diagonal(k2_im, eta * (ks2_log * nodes.jac))
     # K1 diagonal limits: double-layer part vanishes, single-layer part keeps
-    # -J0(0)|x'|/(4 pi), and the log rule weights the diagonal too
-    np.fill_diagonal(k1, 1j * eta * nodes.jac / (4.0 * math.pi))
+    # -J0(0)|x'|/(4 pi), and the log rule weights the diagonal too; numpy
+    # divides a complex array by 4 pi as a product with 1/(4 pi), kept here
+    np.fill_diagonal(k1_re, 0.0)
+    np.fill_diagonal(k1_im, eta * nodes.jac * (1.0 / (4.0 * math.pi)))
 
-    quad = r_weights * k1 + (2.0 * np.pi / n) * k2
+    quad = np.empty((n, n), dtype=complex)
+    quad.real = r_weights * k1_re + (2.0 * np.pi / n) * k2_re
+    quad.imag = r_weights * k1_im + (2.0 * np.pi / n) * k2_im
     return quad
 
 

@@ -34,46 +34,52 @@ def _harmonic_numbers(k_max: int) -> np.ndarray:
     return h
 
 
-def _j0_j1_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jy01_series(x: np.ndarray):
+    """J0, J1, Y0, Y1 from their power series in q = x^2/4.
+
+    The sums share two positive term sequences, t_k = q^k/(k!)^2 and
+    u_k = q^k/(k!(k+1)!), which enter with alternating signs:
+    J0 = sum (-1)^k t_k, J1 = (x/2) sum (-1)^k u_k, and
+    Y0 = (2/pi) [lg*J0 + sum_{k>=1} (-1)^(k+1) H_k t_k],
+    Y1 = (2/pi) lg*J1 - 2/(pi x) - (x/2pi) sum_k (-1)^k (H_k+H_{k+1}) u_k,
+    with lg = ln(x/2) + gamma.  The J pair, the Y0 sum and the Y1 sum each
+    stop after the first iteration whose largest weighted term is below 1e-18.
+    """
     q = 0.25 * x * x
+    h = _harmonic_numbers(61)
+    t = np.ones_like(x)
+    u = np.ones_like(x)
     j0 = np.ones_like(x)
     j1 = np.ones_like(x)
-    t0 = np.ones_like(x)
-    t1 = np.ones_like(x)
-    for k in range(1, 60):
-        t0 = t0 * (-q) / (k * k)
-        t1 = t1 * (-q) / (k * (k + 1))
-        j0 += t0
-        j1 += t1
-        if max(np.max(np.abs(t0)), np.max(np.abs(t1))) < 1e-18:
-            break
-    return j0, 0.5 * x * j1
-
-
-def _y0_y1_series(x: np.ndarray, j0: np.ndarray, j1: np.ndarray):
-    q = 0.25 * x * x
-    lg = np.log(0.5 * x) + EULER_GAMMA
-    h = _harmonic_numbers(61)
-    # Y0 = (2/pi) [lg*J0 + sum_{k>=1} (-1)^(k+1) H_k q^k / (k!)^2]
     s0 = np.zeros_like(x)
-    tk = np.ones_like(x)
+    s1 = np.ones_like(x)  # the k = 0 term (H_0 + H_1) u_0
+    j_open = y0_open = y1_open = True
     for k in range(1, 60):
-        tk = tk * q / (k * k)
-        s0 += (-1.0) ** (k + 1) * h[k] * tk
-        if np.max(np.abs(tk)) * h[k] < 1e-18:
+        t *= q
+        t /= k * k
+        u *= q
+        u /= k * (k + 1)
+        t_top, u_top = np.max(t), np.max(u)
+        # adds (-1)^k times a term, and its opposite
+        alternate, opposite = (np.subtract, np.add) if k % 2 else (np.add, np.subtract)
+        if j_open:
+            alternate(j0, t, out=j0)
+            alternate(j1, u, out=j1)
+            j_open = max(t_top, u_top) >= 1e-18
+        if y0_open:
+            opposite(s0, h[k] * t, out=s0)
+            y0_open = t_top * h[k] >= 1e-18
+        if y1_open:
+            weight = h[k] + h[k + 1]
+            alternate(s1, weight * u, out=s1)
+            y1_open = u_top * weight >= 1e-18
+        if not (j_open or y0_open or y1_open):
             break
+    j1 *= 0.5 * x
+    lg = np.log(0.5 * x) + EULER_GAMMA
     y0 = (2.0 / math.pi) * (lg * j0 + s0)
-    # Y1 = (2/pi) lg*J1 - 2/(pi x) - (x/2pi) sum_k (-1)^k (H_k+H_{k+1}) q^k/(k!(k+1)!)
-    s1 = np.zeros_like(x)
-    tk = np.ones_like(x)
-    for k in range(0, 60):
-        if k > 0:
-            tk = tk * q / (k * (k + 1))
-        s1 += (-1.0) ** k * (h[k] + h[k + 1]) * tk
-        if np.max(np.abs(tk)) * (h[k] + h[k + 1]) < 1e-18:
-            break
     y1 = (2.0 / math.pi) * lg * j1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1
-    return y0, y1
+    return j0, j1, y0, y1
 
 
 def _pq_asymptotic(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,10 +126,7 @@ def _jy01(x: np.ndarray):
     y0 = np.empty_like(x)
     y1 = np.empty_like(x)
     if np.any(small):
-        xs = x[small]
-        j0s, j1s = _j0_j1_series(xs)
-        y0s, y1s = _y0_y1_series(xs, j0s, j1s)
-        j0[small], j1[small], y0[small], y1[small] = j0s, j1s, y0s, y1s
+        j0[small], j1[small], y0[small], y1[small] = _jy01_series(x[small])
     if np.any(~small):
         xl = x[~small]
         j0l, j1l, y0l, y1l = _jy01_asymptotic(xl)

@@ -13,12 +13,14 @@ from expinstab.conductivity import (
     ntd_from_dtn,
 )
 from expinstab.engine import (
+    ROWS,
     ConfigError,
     ExperimentConfig,
     InstabilityReport,
     WitnessRecord,
     _make_forward,
     _min_norm_pair,
+    _pair_bounds,
     fit_instability_exponent,
     run_instability,
 )
@@ -294,3 +296,22 @@ class TestPrunedPairSearch:
         stack = np.stack([np.zeros((2, 2)), np.array([[2.0, 0.0], [0.0, 0.0]]), -np.ones((2, 2))])
         assert dist(stack[0], stack[1]) == dist(stack[0], stack[2])
         assert _min_norm_pair(stack, dist, lower_bound) == (0, 1, 2.0)
+
+
+class TestChunkedBounds:
+    """The pair bounds are taken ROWS measurements at a time, bit for bit
+    those of one pass over each row's differences, on stacks of the forward
+    maps the engine measures at default sizes."""
+
+    @pytest.mark.parametrize(
+        "problem, eps, count",
+        [("dtn", 0.05, 2 * ROWS + 5), ("farfield", 0.08, ROWS + 3)],
+        ids=["dtn", "farfield"],
+    )
+    def test_equal_to_one_pass(self, problem, eps, count):
+        forward, _, _, lower_bound = _make_forward(ExperimentConfig(problem=problem))
+        family = build_packing(ExperimentConfig(problem=problem).shape_class(), eps)
+        patterns = family.sample_patterns(np.random.default_rng(7), count)
+        stack = np.stack([forward(family.shape(p))[0] for p in patterns])
+        one_pass = np.concatenate([lower_bound(stack[i + 1 :] - stack[i]) for i in range(count - 1)])
+        assert np.array_equal(_pair_bounds(stack, lower_bound), one_pass)

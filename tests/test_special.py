@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expinstab import special
+from expinstab import shapes, special
+from expinstab.scattering import _distances
+from expinstab.shapes import RadialProfile
 
 FIRST_J0_ZERO = 2.404825557695773
 
@@ -84,3 +90,88 @@ class TestBesselYAndHankel:
         y = special.bessel_y_sequence(1, x)
         assert abs(y[0, 0] - y[0, 1]) <= 1e-6
         assert abs(y[1, 0] - y[1, 1]) <= 1e-6
+
+
+def two_loop_series(x):
+    """J0, J1, Y0, Y1 from one loop per J pair and one per Y sum, with signed
+    terms: the reference the shared term sequence must match bit for bit."""
+    q = 0.25 * x * x
+    j0, j1 = np.ones_like(x), np.ones_like(x)
+    t0, t1 = np.ones_like(x), np.ones_like(x)
+    for k in range(1, 60):
+        t0 = t0 * (-q) / (k * k)
+        t1 = t1 * (-q) / (k * (k + 1))
+        j0 += t0
+        j1 += t1
+        if max(np.max(np.abs(t0)), np.max(np.abs(t1))) < 1e-18:
+            break
+    j1 = 0.5 * x * j1
+    lg = np.log(0.5 * x) + special.EULER_GAMMA
+    h = special._harmonic_numbers(61)
+    s0, tk = np.zeros_like(x), np.ones_like(x)
+    for k in range(1, 60):
+        tk = tk * q / (k * k)
+        s0 += (-1.0) ** (k + 1) * h[k] * tk
+        if np.max(np.abs(tk)) * h[k] < 1e-18:
+            break
+    y0 = (2.0 / math.pi) * (lg * j0 + s0)
+    s1, tk = np.zeros_like(x), np.ones_like(x)
+    for k in range(0, 60):
+        if k > 0:
+            tk = tk * q / (k * (k + 1))
+        s1 += (-1.0) ** k * (h[k] + h[k + 1]) * tk
+        if np.max(np.abs(tk)) * (h[k] + h[k + 1]) < 1e-18:
+            break
+    y1 = (2.0 / math.pi) * lg * j1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1
+    return j0, j1, y0, y1
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+def farfield_arguments(a):
+    """The k*r grid of a far-field solve at wave parameter a (192 nodes on a
+    bumpy star about the unit disk with bumps up to 0.18, above the at most
+    eps = 0.12 of the far-field runs), diagonal aside: all of it below 5."""
+    theta = 2 * np.pi * np.arange(512) / 512
+    values = 0.05 * (1 + np.cos(3 * theta)) + 0.04 * (1 + np.sin(7 * theta + 0.4))
+    profile = RadialProfile(values, base_radius=1.0)
+    nodes = shapes.boundary_nodes(profile, 192)
+    r, _ = _distances(nodes.points, nodes)
+    return math.sqrt(a) * r[np.triu_indices(192, 1)]
+
+
+class TestSharedTermSeries:
+    """The one-loop series equals the two-loop reference bit for bit, signed
+    zeros included; each sum keeps its own stop, so the batch matters."""
+
+    @pytest.mark.parametrize("a", [1.0, 4.0])
+    def test_farfield_grid(self, a):
+        x = farfield_arguments(a)
+        assert x.max() <= 5.0
+        assert_same_bits(special._jy01_series(x), two_loop_series(x))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.geomspace(1e-10, 12.999, 3000),
+            np.linspace(0.01, 5.0, 1000),
+            np.array([1e-8]),
+            np.array([12.999]),
+            np.array([4.0, 1e-3]),
+            # next to zeros of the Y0 sum: a Y0 stopped with the J pair moves its last bits
+            np.array([4.691527646743038]),
+            np.array([11.192766147583392]),
+        ],
+        ids=["geometric", "farfield-range", "tiny", "seam", "pair", "y0-sum-zero-1", "y0-sum-zero-2"],
+    )
+    def test_fixed_batches(self, x):
+        assert_same_bits(special._jy01_series(x), two_loop_series(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(1e-9, 12.999), min_size=1, max_size=50))
+    def test_random_batches(self, values):
+        x = np.array(values)
+        assert_same_bits(special._jy01_series(x), two_loop_series(x))
