@@ -24,6 +24,7 @@ accuracy gate.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -39,7 +40,7 @@ CONTRAST_GUARD = 1e-6
 DEFAULT_QUAD = 512
 ROW_BLOCK = 32  # kernel rows per block: the 4 work arrays (512 kB at 512 nodes) stay in L2
 
-_workspace = threading.local()  # per-thread arrays reused across shapes (see _kernel_array)
+_workspace = threading.local()  # per-thread arrays reused across solves (see kept_array)
 
 
 class SolverError(RuntimeError):
@@ -53,7 +54,9 @@ def checked_solve(system: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
         x = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise SolverError(f"{name} system singular: {exc}") from exc
-    residual = np.max(np.abs(system @ x - rhs))
+    r = system @ x
+    r -= rhs
+    residual = np.max(np.abs(r))
     if not np.isfinite(residual) or residual > 1e-8:
         raise SolverError(f"{name} solve residual {residual:.2e}")
     return x
@@ -129,14 +132,19 @@ def _normal_quotients(frame: np.ndarray, px: np.ndarray, py: np.ndarray,
         out /= dx
 
 
-def _kernel_array(n: int) -> np.ndarray:
-    """This thread's n x n array for the transmission system, kept between
-    calls: with glibc malloc a fresh one per shape is handed back to the
-    operating system when the solve's buffers are freed, and faulted in again
-    by the next shape (about 1,450 page faults per 512-node solve)."""
-    array = getattr(_workspace, "kernel", None)
-    if array is None or array.shape != (n, n):
-        array = _workspace.kernel = np.empty((n, n))
+def kept_array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """This thread's array called name, kept between calls and made anew only
+    when its shape or dtype changes; it holds whatever its last user left.
+
+    The forward solvers keep their n x n and larger work arrays here: with
+    glibc malloc, the few MB that a solve allocates and frees are handed back
+    to the operating system and faulted in again by the next solve (about
+    1,450 page faults per 512-node conductivity solve or 192-node far-field
+    solve)."""
+    arrays = vars(_workspace)
+    array = arrays.get(name)
+    if array is None or array.shape != shape or array.dtype != dtype:
+        array = arrays[name] = np.empty(shape, dtype)
     return array
 
 
@@ -211,7 +219,8 @@ def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
         return base
     nodes = shapes.boundary_nodes(prob.shape.profile, prob.quad_nodes)
     lam_c = (prob.contrast + 1.0) / (2.0 * (prob.contrast - 1.0))
-    system = _kstar_matrix(nodes, _kernel_array(prob.quad_nodes))  # Fortran-ordered
+    n = prob.quad_nodes
+    system = _kstar_matrix(nodes, kept_array("kstar", (n, n)))  # Fortran-ordered
     system[np.diag_indices_from(system)] += lam_c
     values, d_normal = _mode_traces(nodes, n_max)
     # phi is minus the density; negation is exact, so no bit of delta moves
@@ -251,12 +260,30 @@ class EnvelopeFit:
         return float(np.max(self.maxima * np.exp(alpha2 * self.levels), initial=1e-300))
 
 
-def _shell_maxima(values: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _shells(degrees: bytes, outer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only distinct degrees (ascending) and the flat shell index of
+    each entry, for the float64 degrees with these bytes or, when outer, for
+    their pairwise maxima max(gamma_j, gamma_k): np.unique runs once per
+    degree sequence, not once per matrix."""
+    grid = np.frombuffer(degrees)
+    if outer:
+        grid = np.maximum.outer(grid, grid)
+    levels, shell = np.unique(grid, return_inverse=True)
+    shell = shell.ravel()
+    levels.flags.writeable = shell.flags.writeable = False
+    return levels, shell
+
+
+def _shell_maxima(values: np.ndarray, degrees: np.ndarray,
+                  outer: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The distinct degrees (ascending) and the max of |values| over the
-    entries of each exact degree; degrees has the shape of values."""
-    levels, shell = np.unique(degrees, return_inverse=True)
+    entries of each exact degree; degrees has the shape of values or, when
+    outer, is the sequence whose pairwise maxima are the degrees of the
+    square values."""
+    levels, shell = _shells(np.asarray(degrees, dtype=float).tobytes(), outer)
     maxima = np.zeros(levels.size)
-    np.maximum.at(maxima, shell.ravel(), np.abs(values).ravel())
+    np.maximum.at(maxima, shell, np.abs(values).ravel())
     return levels, maxima
 
 
@@ -264,7 +291,7 @@ def fit_envelope(entries: np.ndarray, degrees: np.ndarray) -> EnvelopeFit:
     """Fit |b_jk| <= C2 exp(-alpha2 max(gamma_j, gamma_k)): alpha2 from a
     log-linear shell regression, C2 as the smallest constant making the
     envelope exact (zero violations)."""
-    levels, maxima = _shell_maxima(entries, np.maximum.outer(degrees, degrees))
+    levels, maxima = _shell_maxima(entries, degrees, outer=True)
     keep = maxima > 1e-14
     levels, maxima = levels[keep], maxima[keep]
     if levels.size < 2:

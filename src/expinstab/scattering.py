@@ -10,9 +10,15 @@ the log part is integrated with the Martensen-Kussmaul trigonometric weights,
 which is spectrally accurate on smooth boundaries.  Plane-wave phases stay
 real until the exp, 1j * (k * x @ d.T): the values equal the complex-GEMM form
 1j * k * x @ d.T, but an OpenBLAS complex GEMM slows the complex exp that
-follows it about 15-fold.  Far-field coefficients
-b_kl are projections of the far-field pattern on the circle Fourier basis;
-the closed-form disk series (Jacobi-Anger) is the accuracy oracle.
+follows it about 15-fold.  The kernel build writes every n x n and
+triangle-sized array, the Bessel series' scratch included, into arrays that
+each thread keeps between solves (conductivity.kept_array): with glibc malloc
+the several MB that a solve used to allocate and free went back to the
+operating system, and the next solve faulted them in again (about 1,450
+page faults and 3 ms of system time per 192-node solve).  Far-field
+coefficients b_kl are projections of the far-field pattern on the circle
+Fourier basis; the closed-form disk series (Jacobi-Anger) is the accuracy
+oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from expinstab import shapes, special
-from expinstab.conductivity import checked_solve, fourier_degrees
+from expinstab.conductivity import checked_solve, fourier_degrees, kept_array
 from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
 from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
 
@@ -133,12 +139,18 @@ def _log_weights(n: int) -> np.ndarray:
     return r
 
 
-def _distances(points: np.ndarray, nodes: BoundaryNodes) -> tuple[np.ndarray, np.ndarray]:
-    """|x_i - y_j| and nu(y_j).(x_i - y_j) for points x_i and boundary nodes y_j."""
-    dx = points[:, :1] - nodes.points[:, 0]
-    dy = points[:, 1:] - nodes.points[:, 1]
-    nu_dot = dx * nodes.normals[:, 0]
-    nu_dot += dy * nodes.normals[:, 1]
+def _distances(points: np.ndarray, nodes: BoundaryNodes,
+               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """|x_i - y_j| and nu(y_j).(x_i - y_j) for points x_i and boundary nodes
+    y_j, written into the first two of out's four arrays of the result's
+    shape (made here when not given); the other two are scratch."""
+    if out is None:
+        out = np.empty((4, len(points), len(nodes.points)))
+    dx, nu_dot, dy, term = out
+    np.subtract(points[:, :1], nodes.points[:, 0], out=dx)
+    np.subtract(points[:, 1:], nodes.points[:, 1], out=dy)
+    np.multiply(dx, nodes.normals[:, 0], out=nu_dot)
+    nu_dot += np.multiply(dy, nodes.normals[:, 1], out=term)
     dx *= dx
     dy *= dy
     dx += dy
@@ -165,12 +177,30 @@ def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return tables
 
 
-def _symmetric_jy01(kr: np.ndarray):
+def _symmetric_jy01(kr: np.ndarray, out: np.ndarray | None = None):
     """jy01_kernel of a bitwise-symmetric matrix from its upper triangle: the
     series and asymptotic loops stop on the max over the same set of
-    arguments, so the values are the full-grid call's bit for bit."""
+    arguments, so the values are the full-grid call's bit for bit.  They are
+    written into out's four arrays of kr's shape (made here when not given;
+    kr may be one of them); the triangle is evaluated in kept arrays."""
     _, _, upper, mirror = _quadrature_tables(kr.shape[0])
-    return tuple(v[mirror] for v in special.jy01_kernel(np.take(kr, upper)))
+    if out is None:
+        out = np.empty((4,) + kr.shape)
+    # mode="clip" takes straight into out: the default mode buffers a copy
+    args = np.take(kr, upper, out=kept_array("jy01_args", upper.shape), mode="clip")
+    work = kept_array("jy01_work", (special.WORK_ROWS,) + upper.shape)
+    for value, full in zip(special.jy01_kernel(args, work=work), out):
+        np.take(value, mirror, out=full, mode="clip")
+    return out
+
+
+def _product(out: np.ndarray, first, *factors) -> np.ndarray:
+    """first * factors[0] * factors[1] * ..., multiplied left to right as
+    Python evaluates it, into out (which may be one of the factors)."""
+    np.multiply(first, factors[0], out=out)
+    for factor in factors[1:]:
+        out *= factor
+    return out
 
 
 def _kernel_matrices(nodes: BoundaryNodes, k: float, eta: float):
@@ -179,28 +209,33 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float, eta: float):
 
     Every product in the complex kernels has a real or a purely imaginary
     factor, so their real and imaginary planes are computed apart in float64,
-    bit for bit the complex form's products and sums."""
+    bit for bit the complex form's products and sums.  Each plane is built in
+    an array whose values it has consumed.  All arrays, the returned matrix
+    too, are this thread's kept arrays: the next call at the same node count
+    overwrites them."""
     n = nodes.jac.size
     log_fac, r_weights, _, _ = _quadrature_tables(n)
-    r, nu_dot = _distances(nodes.points, nodes)
+    planes = kept_array("kernel_planes", (6, n, n))
+    r, nu_cos = _distances(nodes.points, nodes, out=planes[:4])
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
+    nu_cos /= r
     # r is bitwise symmetric: its entries come from negated coordinate differences
-    j0, j1, y0, y1 = _symmetric_jy01(k * r)
+    j0, j1, y0, y1 = _symmetric_jy01(np.multiply(k, r, out=planes[2]), out=planes[2:])
     jac_row = nodes.jac[None, :]
-    nu_cos = nu_dot / r
 
     # K = (ik/4) H1(kr) (nu(y).(x-y)/r) |x'(y)| - i eta (i/4) H0(kr) |x'(y)|,
-    # double layer minus i eta times single layer, with H = J + iY
-    k2_re = -(k / 4.0) * y1 * nu_cos * jac_row
-    k2_re += eta * (0.25 * j0 * jac_row)
-    k2_im = (k / 4.0) * j1 * nu_cos * jac_row
-    k2_im += eta * (0.25 * y0 * jac_row)
+    # double layer minus i eta times single layer, with H = J + iY, and
     # K1 = -(k/4pi) J1(kr) (...) |x'| - i eta (-(1/4pi) J0(kr) |x'|)
-    k1_re = -(k / (4.0 * math.pi)) * j1 * nu_cos * jac_row
-    k1_im = eta * ((1.0 / (4.0 * math.pi)) * j0 * jac_row)
+    k1_re = _product(r, -(k / (4.0 * math.pi)), j1, nu_cos, jac_row)
+    k2_im = _product(j1, k / 4.0, j1, nu_cos, jac_row)
+    k2_re = _product(y1, -(k / 4.0), y1, nu_cos, jac_row)
+    term = nu_cos
+    k2_im += _product(term, 0.25, y0, jac_row, eta)
+    k2_re += _product(term, 0.25, j0, jac_row, eta)
+    k1_im = _product(j0, 1.0 / (4.0 * math.pi), j0, jac_row, eta)
     # K2 = K - K1 ln(4 sin^2)
-    k2_re -= k1_re * log_fac
-    k2_im -= k1_im * log_fac
+    k2_re -= _product(term, k1_re, log_fac)
+    k2_im -= _product(term, k1_im, log_fac)
     # analytic diagonal limits; the double layer's is nu.x''/(4 pi |x'|) = -kappa |x'|/(4 pi),
     # the single layer's (i/4 - gamma/(2 pi) - ln(k |x'|/2)/(2 pi)) |x'|
     kd2_diag = -nodes.curvature * nodes.jac / (4.0 * math.pi)
@@ -213,9 +248,11 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float, eta: float):
     np.fill_diagonal(k1_re, 0.0)
     np.fill_diagonal(k1_im, eta * nodes.jac * (1.0 / (4.0 * math.pi)))
 
-    quad = np.empty((n, n), dtype=complex)
-    quad.real = r_weights * k1_re + (2.0 * np.pi / n) * k2_re
-    quad.imag = r_weights * k1_im + (2.0 * np.pi / n) * k2_im
+    quad = kept_array("kernel", (n, n), complex)
+    for k1, k2, plane in ((k1_re, k2_re, quad.real), (k1_im, k2_im, quad.imag)):
+        k1 *= r_weights
+        k2 *= 2.0 * np.pi / n
+        np.add(k1, k2, out=plane)
     return quad
 
 
@@ -270,7 +307,8 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     k = math.sqrt(a)
     eta = k
     nodes = shapes.boundary_nodes(shape.profile, quad_nodes)
-    system = 0.5 * np.eye(quad_nodes) + _kernel_matrices(nodes, k, eta)
+    system = _kernel_matrices(nodes, k, eta)
+    system[np.diag_indices_from(system)] += 0.5
     omega = _direction_grid(direction_count)
     dirs = np.column_stack([np.cos(omega), np.sin(omega)])
     # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower

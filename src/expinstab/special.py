@@ -17,6 +17,7 @@ EULER_GAMMA = 0.577215664901532860606512090082
 
 _SERIES_SPLIT = 13.0
 _X_MAX = 200.0
+WORK_ROWS = 8  # arrays of the argument's shape that the power series works in
 
 
 def _check_x(x: np.ndarray) -> None:
@@ -34,7 +35,7 @@ def _harmonic_numbers(k_max: int) -> np.ndarray:
     return h
 
 
-def _jy01_series(x: np.ndarray):
+def _jy01_series(x: np.ndarray, work: np.ndarray | None = None):
     """J0, J1, Y0, Y1 from their power series in q = x^2/4.
 
     The sums share two positive term sequences, t_k = q^k/(k!)^2 and
@@ -44,15 +45,22 @@ def _jy01_series(x: np.ndarray):
     Y1 = (2/pi) lg*J1 - 2/(pi x) - (x/2pi) sum_k (-1)^k (H_k+H_{k+1}) u_k,
     with lg = ln(x/2) + gamma.  The J pair, the Y0 sum and the Y1 sum each
     stop after the first iteration whose largest weighted term is below 1e-18.
+
+    Every intermediate lives in work, WORK_ROWS arrays of x's shape (made
+    here when not given), and the four results are rows of it.
     """
-    q = 0.25 * x * x
+    if work is None:
+        work = np.empty((WORK_ROWS,) + x.shape)
+    q, t, u, j0, j1, s0, s1, term = work
     h = _harmonic_numbers(61)
-    t = np.ones_like(x)
-    u = np.ones_like(x)
-    j0 = np.ones_like(x)
-    j1 = np.ones_like(x)
-    s0 = np.zeros_like(x)
-    s1 = np.ones_like(x)  # the k = 0 term (H_0 + H_1) u_0
+    np.multiply(0.25, x, out=q)
+    q *= x
+    t.fill(1.0)
+    u.fill(1.0)
+    j0.fill(1.0)
+    j1.fill(1.0)
+    s0.fill(0.0)
+    s1.fill(1.0)  # the k = 0 term (H_0 + H_1) u_0
     j_open = y0_open = y1_open = True
     for k in range(1, 60):
         t *= q
@@ -67,18 +75,28 @@ def _jy01_series(x: np.ndarray):
             alternate(j1, u, out=j1)
             j_open = max(t_top, u_top) >= 1e-18
         if y0_open:
-            opposite(s0, h[k] * t, out=s0)
+            opposite(s0, np.multiply(h[k], t, out=term), out=s0)
             y0_open = t_top * h[k] >= 1e-18
         if y1_open:
             weight = h[k] + h[k + 1]
-            alternate(s1, weight * u, out=s1)
+            alternate(s1, np.multiply(weight, u, out=term), out=s1)
             y1_open = u_top * weight >= 1e-18
         if not (j_open or y0_open or y1_open):
             break
-    j1 *= 0.5 * x
-    lg = np.log(0.5 * x) + EULER_GAMMA
-    y0 = (2.0 / math.pi) * (lg * j0 + s0)
-    y1 = (2.0 / math.pi) * lg * j1 - 2.0 / (math.pi * x) - (x / (2.0 * math.pi)) * s1
+    # q and the term sequences are spent: lg, Y0 and Y1 take their rows
+    lg, y0, y1 = q, t, u
+    j1 *= np.multiply(0.5, x, out=term)
+    np.log(term, out=lg)
+    lg += EULER_GAMMA
+    # Y0 = (2/pi) (lg J0 + s0)
+    np.multiply(lg, j0, out=y0)
+    y0 += s0
+    y0 *= 2.0 / math.pi
+    # Y1 = ((2/pi) lg) J1 - 2/(pi x) - (x/(2 pi)) s1
+    np.multiply(2.0 / math.pi, lg, out=y1)
+    y1 *= j1
+    y1 -= np.divide(2.0, np.multiply(math.pi, x, out=term), out=term)
+    y1 -= np.multiply(np.divide(x, 2.0 * math.pi, out=term), s1, out=term)
     return j0, j1, y0, y1
 
 
@@ -117,10 +135,14 @@ def _jy01_asymptotic(x: np.ndarray):
     return j0, j1, y0, y1
 
 
-def _jy01(x: np.ndarray):
-    """J0, J1, Y0, Y1 on positive arguments, series below 13, asymptotic above."""
+def _jy01(x: np.ndarray, work: np.ndarray | None = None):
+    """J0, J1, Y0, Y1 on positive arguments, series below 13, asymptotic above.
+
+    When every argument takes the series, it runs in work (see _jy01_series)."""
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_SPLIT
+    if x.size and np.all(small):
+        return _jy01_series(x, work)
     j0 = np.empty_like(x)
     j1 = np.empty_like(x)
     y0 = np.empty_like(x)
@@ -193,8 +215,13 @@ def hankel1_sequence(n_max: int, x) -> np.ndarray:
     return bessel_j_sequence(n_max, x) + 1j * bessel_y_sequence(n_max, x)
 
 
-def jy01_kernel(x: np.ndarray):
-    """Fast vectorized (J0, J1, Y0, Y1) for boundary-integral kernels."""
+def jy01_kernel(x: np.ndarray, *, work: np.ndarray | None = None):
+    """Fast vectorized (J0, J1, Y0, Y1) for boundary-integral kernels.
+
+    A caller that evaluates one shape of arguments again and again passes
+    work, WORK_ROWS arrays of x's shape that it keeps: when every argument is
+    below 13 the series runs in it and the results are rows of it, so the
+    call allocates no float array of x's size."""
     x = np.asarray(x, dtype=float)
     _check_x(x)
-    return _jy01(x)
+    return _jy01(x, work)

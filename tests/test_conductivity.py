@@ -13,11 +13,14 @@ from expinstab.conductivity import (
     CONTRAST_GUARD,
     ElectrodeConfig,
     InclusionProblem,
+    SolverError,
     _arc_multiplication_matrix,
     _kstar_matrix,
     _mode_traces,
     _shell_maxima,
+    _shells,
     arc_mode_integrals,
+    checked_solve,
     delta_dtn_weighted,
     diagonal_decay_fit,
     dtn_concentric,
@@ -213,6 +216,20 @@ class TestKernelAssembly:
             assert np.all(np.abs(g - w) <= 1e-13 * scale)
 
 
+class TestCheckedSolve:
+    def test_returns_the_solution_and_rejects_large_or_nan_residuals(self):
+        rng = np.random.default_rng(14)
+        system = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+        rhs = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        assert np.array_equal(checked_solve(system, rhs, "test"), np.linalg.solve(system, rhs))
+        # entries of 1e12 leave a residual of about 1e12 * 1e-16, above the 1e-8 bar
+        with pytest.raises(SolverError, match="huge solve residual"):
+            checked_solve(1e12 * system, 1e12 * (system @ rhs), "huge")
+        system[2, 3] = np.nan
+        with pytest.raises(SolverError, match="nan solve residual"):
+            checked_solve(system, rhs, "nan")
+
+
 class TestDtnNumeric:
     def test_kernel_against_scalar_oracle(self):
         prob = InclusionProblem(smooth_inclusion(np.random.default_rng(9)), 2.0, 8, 32)
@@ -383,6 +400,18 @@ class TestShellMaxima:
         want_levels, want_maxima = brute_shell_maxima(entries, maxdeg)
         assert levels.tolist() == want_levels == [k / 2 for k in range(13)]
         assert maxima.tolist() == want_maxima
+
+    def test_shell_index_is_computed_once_per_degree_sequence(self):
+        entries, maxdeg = self.matrix(3)
+        levels, maxima = _shell_maxima(entries, self.DEGREES, outer=True)
+        misses = _shells.cache_info().misses
+        again, _ = _shell_maxima(2.0 * entries, self.DEGREES, outer=True)
+        assert again is levels and not levels.flags.writeable
+        fit_envelope(entries, self.DEGREES)
+        assert _shells.cache_info().misses == misses
+        # the sequence's pairwise maxima as a grid: the same shells, the same maxima
+        grid_levels, grid_maxima = _shell_maxima(entries, maxdeg)
+        assert np.array_equal(levels, grid_levels) and np.array_equal(maxima, grid_maxima)
 
     def test_fit_envelope_drops_tiny_shells(self):
         entries, maxdeg = self.matrix(1)

@@ -170,6 +170,29 @@ class TestSharedTermSeries:
     def test_fixed_batches(self, x):
         assert_same_bits(special._jy01_series(x), two_loop_series(x))
 
+    def test_kept_scratch_equals_allocating_form(self):
+        # the series runs in the caller's scratch, results included; what a
+        # previous call left there reaches no bit of the next call's values
+        batches = [farfield_arguments(a) for a in (1.0, 4.0)] + [
+            np.geomspace(1e-10, 12.999, 3000),
+            np.linspace(0.01, 5.0, 1000),
+            np.array([1e-8]),
+            np.array([12.999]),
+            np.array([4.0, 1e-3]),
+            np.array([4.691527646743038]),
+            np.array([11.192766147583392]),
+        ]
+        for x in batches:
+            work = np.full((special.WORK_ROWS,) + x.shape, np.nan)
+            kept = special._jy01_series(x, work)
+            assert all(np.shares_memory(value, work) for value in kept)
+            assert_same_bits(kept, special._jy01_series(x))
+            assert_same_bits(special.jy01_kernel(x, work=work), special.jy01_kernel(x))
+        # arguments past the series split take the asymptotic branch, without the scratch
+        x = np.array([4.0, 20.0, 1e-3])
+        assert_same_bits(special.jy01_kernel(x, work=np.empty((special.WORK_ROWS, 3))),
+                         special.jy01_kernel(x))
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(1e-9, 12.999), min_size=1, max_size=50))
     def test_random_batches(self, values):
