@@ -229,14 +229,14 @@ def _cmd_scatter(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     prob = _shape_problem(
         ObstacleProblem, shape_file, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions
     )
-    fields = farfield_numeric(prob)
+    fields, residuals = farfield_numeric(prob)
+    degrees = fourier_degrees(cfg.scatter_n_max)
     mag_rows, meta_rows = [], []
-    for a in cfg.a_list:
-        mat = fields[a]
+    for a, field, residual in zip(cfg.a_list, fields, residuals):
         # scalar abs: the array np.abs can differ in the last bit
-        mag_rows += [(a, i, j, abs(v)) for (i, j), v in np.ndenumerate(mat.entries)]
-        fit = fit_envelope(np.abs(mat.entries), mat.degrees)
-        meta_rows.append((a, mat.reciprocity_residual, fit.c2, fit.alpha2))
+        mag_rows += [(a, i, j, abs(v)) for (i, j), v in np.ndenumerate(field)]
+        fit = fit_envelope(np.abs(field), degrees)
+        meta_rows.append((a, residual, fit.c2, fit.alpha2))
     return {
         "farfield_magnitudes.csv": (["a", "row", "col", "abs_value"], mag_rows),
         "reciprocity.csv": (["a", "residual", "c2_hat", "alpha2_hat"], meta_rows),

@@ -261,27 +261,23 @@ class EnvelopeFit:
 
 
 @functools.lru_cache(maxsize=16)
-def _shells(degrees: bytes, outer: bool) -> tuple[np.ndarray, np.ndarray]:
+def _shells(degrees: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Read-only distinct degrees (ascending) and the flat shell index of
-    each entry, for the float64 degrees with these bytes or, when outer, for
-    their pairwise maxima max(gamma_j, gamma_k): np.unique runs once per
-    degree sequence, not once per matrix."""
+    each entry of the pairwise maxima max(gamma_j, gamma_k) of the float64
+    degrees with these bytes: np.unique runs once per degree sequence, not
+    once per matrix."""
     grid = np.frombuffer(degrees)
-    if outer:
-        grid = np.maximum.outer(grid, grid)
-    levels, shell = np.unique(grid, return_inverse=True)
+    levels, shell = np.unique(np.maximum.outer(grid, grid), return_inverse=True)
     shell = shell.ravel()
     levels.flags.writeable = shell.flags.writeable = False
     return levels, shell
 
 
-def _shell_maxima(values: np.ndarray, degrees: np.ndarray,
-                  outer: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct degrees (ascending) and the max of |values| over the
-    entries of each exact degree; degrees has the shape of values or, when
-    outer, is the sequence whose pairwise maxima are the degrees of the
-    square values."""
-    levels, shell = _shells(np.asarray(degrees, dtype=float).tobytes(), outer)
+def _shell_maxima(values: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct degree levels n (ascending) of the square values, whose
+    rows and columns have the given degrees, and the max of |values_jk| over
+    the entries with max(gamma_j, gamma_k) = n."""
+    levels, shell = _shells(np.asarray(degrees, dtype=float).tobytes())
     maxima = np.zeros(levels.size)
     np.maximum.at(maxima, shell, np.abs(values).ravel())
     return levels, maxima
@@ -291,7 +287,7 @@ def fit_envelope(entries: np.ndarray, degrees: np.ndarray) -> EnvelopeFit:
     """Fit |b_jk| <= C2 exp(-alpha2 max(gamma_j, gamma_k)): alpha2 from a
     log-linear shell regression, C2 as the smallest constant making the
     envelope exact (zero violations)."""
-    levels, maxima = _shell_maxima(entries, degrees, outer=True)
+    levels, maxima = _shell_maxima(entries, degrees)
     keep = maxima > 1e-14
     levels, maxima = levels[keep], maxima[keep]
     if levels.size < 2:
@@ -318,7 +314,8 @@ def diagonal_decay_fit(entries: np.ndarray, degrees: np.ndarray) -> tuple[float,
     """Log-linear fit of the per-degree maxima of the diagonal of entries,
     whose rows have the given degrees: returns (alpha_hat, c_hat, r_squared)."""
     positive = degrees > 0
-    levels, maxima = _shell_maxima(np.diag(entries)[positive], degrees[positive])
+    # zero off-diagonal entries raise no shell maximum
+    levels, maxima = _shell_maxima(np.diag(np.diag(entries)[positive]), degrees[positive])
     keep = maxima > 1e-300
     slope, intercept, r2 = line_fit(levels[keep], np.array([math.log(m) for m in maxima[keep]]))
     return -slope, math.exp(intercept), r2

@@ -204,9 +204,8 @@ def _make_forward(cfg: ExperimentConfig):
 
     def forward(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
         prob = ObstacleProblem(shape, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions)
-        fields = farfield_numeric(prob)
-        stacked = np.stack([fields[a].entries for a in cfg.a_list])
-        return stacked, np.abs(stacked).max(axis=0)
+        fields, _ = farfield_numeric(prob)
+        return fields, np.abs(fields).max(axis=0)
 
     def dist(m1: np.ndarray, m2: np.ndarray) -> float:
         # sup over the wave-parameter set of the L^2 far-field difference

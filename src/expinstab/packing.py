@@ -137,18 +137,13 @@ class PackingFamily:
     shape_class: ShapeClass
     eps: float
     cell_count: int
-    bump_half_width: float
-    cell_centers: np.ndarray  # flat: positions on the segment; radial: angles
+    eps0: float  # class_eps0 of the shape class
     _cell_slices: tuple = field(repr=False, default=())
     _cell_bumps: tuple = field(repr=False, default=())
 
     @property
     def certified_log_cardinality(self) -> float:
         return self.cell_count * math.log(2.0)
-
-    @property
-    def eps0(self) -> float:
-        return class_eps0(self.shape_class)
 
     def pattern_bits(self, pattern: int) -> np.ndarray:
         if not 0 <= pattern < (1 << self.cell_count):
@@ -234,8 +229,7 @@ def build_packing(cls: ShapeClass, eps: float) -> PackingFamily:
         shape_class=cls,
         eps=eps,
         cell_count=mc,
-        bump_half_width=w,
-        cell_centers=np.asarray(centers),
+        eps0=eps0,
         _cell_slices=tuple(slices),
         _cell_bumps=tuple(bumps),
     )

@@ -35,17 +35,15 @@ from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
 from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
 
 MAX_OBSTACLE_RADIUS = 1.8  # obstacles stay inside B(0, 9/5)
-DEFAULT_QUAD = 256
-DEFAULT_DIRECTIONS = 64
 
 
 @dataclass(frozen=True)
 class ObstacleProblem:
     shape: Shape
-    wave_params: tuple[float, ...] = (1.0, 4.0)
-    n_max: int = 16
-    quad_nodes: int = DEFAULT_QUAD
-    direction_count: int = DEFAULT_DIRECTIONS
+    wave_params: tuple[float, ...]
+    n_max: int
+    quad_nodes: int
+    direction_count: int
 
     def __post_init__(self):
         if self.shape.kind != shapes.RADIAL_SUBGRAPH:
@@ -61,21 +59,6 @@ class ObstacleProblem:
             raise ValueError("direction count must be even (for reciprocity pairing)")
 
 
-@dataclass(frozen=True)
-class FarFieldMatrix:
-    """Far-field coefficients b_kl against the ordered circle basis."""
-
-    entries: np.ndarray
-    degrees: np.ndarray
-    wave_param: float
-    reciprocity_residual: float = 0.0
-
-
-def farfield_l2_norm(matrix: FarFieldMatrix) -> float:
-    """L^2(S^1 x S^1) norm of the far-field map = l^2 norm of b_kl."""
-    return float(np.sqrt(np.sum(np.abs(matrix.entries) ** 2)))
-
-
 def disk_mode_coefficients(radius: float, a: float, n_max: int) -> np.ndarray:
     """Scattered-mode coefficients -J_n(k R)/H_n^(1)(k R), n = 0..n_max."""
     k = math.sqrt(a)
@@ -84,8 +67,9 @@ def disk_mode_coefficients(radius: float, a: float, n_max: int) -> np.ndarray:
     return -j / h
 
 
-def farfield_disk(radius: float, a: float, n_max: int) -> FarFieldMatrix:
-    """Closed-form far-field matrix of the sound-soft disk.
+def farfield_disk(radius: float, a: float, n_max: int) -> np.ndarray:
+    """Closed-form far-field coefficient matrix of the sound-soft disk, rows
+    and columns in fourier_degrees(n_max) order.
 
     Diagonal in the frequency pairing: both cos-n and sin-n elements carry
     2*pi * C_k * c_n with C_k = sqrt(2/(pi k)) e^{-i pi/4}.
@@ -95,10 +79,9 @@ def farfield_disk(radius: float, a: float, n_max: int) -> FarFieldMatrix:
     k = math.sqrt(a)
     c = disk_mode_coefficients(radius, a, n_max)
     front = math.sqrt(2.0 / (math.pi * k)) * np.exp(-1j * math.pi / 4.0)
-    degrees = fourier_degrees(n_max)
     # scalar complex products: numpy's vector complex multiply can round differently
-    diag = np.array([2.0 * math.pi * front * c[j] for j in degrees.astype(int)])
-    return FarFieldMatrix(np.diag(diag), degrees, a)
+    diag = np.array([2.0 * math.pi * front * c[j] for j in fourier_degrees(n_max).astype(int)])
+    return np.diag(diag)
 
 
 def hankel_bound_check(
@@ -203,9 +186,9 @@ def _product(out: np.ndarray, first, *factors) -> np.ndarray:
     return out
 
 
-def _kernel_matrices(nodes: BoundaryNodes, k: float, eta: float):
-    """Log-split combined kernel: K1 * ln(4 sin^2) + K2, with trapezoid/log
-    quadrature baked into the returned dense matrix.
+def _kernel_matrices(nodes: BoundaryNodes, k: float):
+    """Log-split combined kernel with coupling eta = k: K1 * ln(4 sin^2) + K2,
+    with trapezoid/log quadrature baked into the returned dense matrix.
 
     Every product in the complex kernels has a real or a purely imaginary
     factor, so their real and imaginary planes are computed apart in float64,
@@ -213,6 +196,7 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float, eta: float):
     an array whose values it has consumed.  All arrays, the returned matrix
     too, are this thread's kept arrays: the next call at the same node count
     overwrites them."""
+    eta = k
     n = nodes.jac.size
     log_fac, r_weights, _, _ = _quadrature_tables(n)
     planes = kept_array("kernel_planes", (6, n, n))
@@ -262,7 +246,6 @@ class ScatteringSolution:
 
     nodes: BoundaryNodes
     wave_param: float
-    eta: float
     directions: np.ndarray
     densities: np.ndarray  # (n_quad, n_dir)
 
@@ -280,7 +263,7 @@ class ScatteringSolution:
         phase = np.exp(-1j * (k * xhat @ self.nodes.points.T))
         nudot = xhat @ self.nodes.normals.T
         front = np.exp(1j * math.pi / 4.0) / math.sqrt(8.0 * math.pi * k)
-        kernel = front * (-1j * k * nudot - 1j * self.eta) * phase
+        kernel = front * (-1j * k * nudot - 1j * k) * phase
         return (kernel * self.nodes.weights[None, :]) @ self.densities
 
     def scattered_at(self, points: np.ndarray, direction_index: int = 0) -> np.ndarray:
@@ -292,7 +275,7 @@ class ScatteringSolution:
         h1 = j1 + 1j * y1
         dl = (1j * k / 4.0) * h1 * nu_dot / r
         sl = (1j / 4.0) * h0
-        kernel = (dl - 1j * self.eta * sl) * self.nodes.weights[None, :]
+        kernel = (dl - 1j * k * sl) * self.nodes.weights[None, :]
         return kernel @ self.densities[:, direction_index]
 
 
@@ -305,16 +288,15 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     """Solve the sound-soft problem for plane waves from a uniform grid of
     incident directions."""
     k = math.sqrt(a)
-    eta = k
     nodes = shapes.boundary_nodes(shape.profile, quad_nodes)
-    system = _kernel_matrices(nodes, k, eta)
+    system = _kernel_matrices(nodes, k)
     system[np.diag_indices_from(system)] += 0.5
     omega = _direction_grid(direction_count)
     dirs = np.column_stack([np.cos(omega), np.sin(omega)])
     # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower
     rhs = -np.exp(1j * (k * nodes.points @ dirs.T))
     densities = checked_solve(system, rhs, "combined-field")
-    return ScatteringSolution(nodes, a, eta, omega, densities)
+    return ScatteringSolution(nodes, a, omega, densities)
 
 
 @functools.cache
@@ -344,16 +326,18 @@ def reciprocity_residual(grid: np.ndarray) -> float:
     return float(np.max(np.abs(grid - flipped)))
 
 
-def farfield_numeric(prob: ObstacleProblem) -> dict[float, FarFieldMatrix]:
-    """Far-field coefficient matrices of the obstacle, one per wave parameter.
+def farfield_numeric(prob: ObstacleProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Far-field coefficient matrices of the obstacle, stacked in wave_params
+    order (rows and columns in fourier_degrees(n_max) order), and the
+    reciprocity residual of each far-field pattern.
 
     Reduces to farfield_disk for constant profiles.
     """
-    degrees = fourier_degrees(prob.n_max)
-    out: dict[float, FarFieldMatrix] = {}
-    for wave in prob.wave_params:
-        sol = solve_scattering(prob.shape, wave, prob.quad_nodes, prob.direction_count)
-        grid = sol.far_field_grid()
-        entries = _project_far_field(grid, prob.n_max)
-        out[wave] = FarFieldMatrix(entries, degrees, wave, reciprocity_residual(grid))
-    return out
+    size = len(fourier_degrees(prob.n_max))
+    fields = np.empty((len(prob.wave_params), size, size), dtype=complex)
+    residuals = np.empty(len(prob.wave_params))
+    for i, wave in enumerate(prob.wave_params):
+        grid = solve_scattering(prob.shape, wave, prob.quad_nodes, prob.direction_count).far_field_grid()
+        fields[i] = _project_far_field(grid, prob.n_max)
+        residuals[i] = reciprocity_residual(grid)
+    return fields, residuals

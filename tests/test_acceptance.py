@@ -276,9 +276,9 @@ def test_criterion_8_scattering():
             192,
             48,
         )
-        num = farfield_numeric(prob)[a]
+        (num,), _ = farfield_numeric(prob)
         ref = farfield_disk(1.0, a, 12)
-        worst_disk = max(worst_disk, float(np.abs(num.entries - ref.entries).max()))
+        worst_disk = max(worst_disk, float(np.abs(num - ref).max()))
     assert worst_disk <= 1e-6
     rng = np.random.default_rng(61)
     worst_rec = 0.0
@@ -292,8 +292,8 @@ def test_criterion_8_scattering():
         shape = Shape(
             shapes.RADIAL_SUBGRAPH, RadialProfile(vals, base_radius=1.0, amplitude_cap=0.5)
         )
-        mat = farfield_numeric(ObstacleProblem(shape, (1.0,), 10, 192, 48))[1.0]
-        worst_rec = max(worst_rec, mat.reciprocity_residual)
+        _, (residual,) = farfield_numeric(ObstacleProblem(shape, (1.0,), 10, 192, 48))
+        worst_rec = max(worst_rec, residual)
     assert worst_rec <= 1e-8
     # Wronskian J_n Y_n' - J_n' Y_n = 2/(pi x)
     x = np.linspace(0.5, 60.0, 400)

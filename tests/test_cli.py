@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -352,3 +357,14 @@ class TestSubcommands:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
+
+
+def test_import_loads_no_scipy():
+    # special.py is not a scipy facade: importing scipy.special raises the
+    # peak RSS from about 30.5 to 52.5 MB and the import time by about 0.3 s
+    code = "import sys, expinstab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH="src")
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

@@ -396,22 +396,19 @@ class TestShellMaxima:
 
     def test_against_per_shell_loop(self):
         entries, maxdeg = self.matrix(0)
-        levels, maxima = _shell_maxima(entries, maxdeg)
+        levels, maxima = _shell_maxima(entries, self.DEGREES)
         want_levels, want_maxima = brute_shell_maxima(entries, maxdeg)
         assert levels.tolist() == want_levels == [k / 2 for k in range(13)]
         assert maxima.tolist() == want_maxima
 
     def test_shell_index_is_computed_once_per_degree_sequence(self):
         entries, maxdeg = self.matrix(3)
-        levels, maxima = _shell_maxima(entries, self.DEGREES, outer=True)
+        levels, maxima = _shell_maxima(entries, self.DEGREES)
         misses = _shells.cache_info().misses
-        again, _ = _shell_maxima(2.0 * entries, self.DEGREES, outer=True)
+        again, _ = _shell_maxima(2.0 * entries, self.DEGREES)
         assert again is levels and not levels.flags.writeable
         fit_envelope(entries, self.DEGREES)
         assert _shells.cache_info().misses == misses
-        # the sequence's pairwise maxima as a grid: the same shells, the same maxima
-        grid_levels, grid_maxima = _shell_maxima(entries, maxdeg)
-        assert np.array_equal(levels, grid_levels) and np.array_equal(maxima, grid_maxima)
 
     def test_fit_envelope_drops_tiny_shells(self):
         entries, maxdeg = self.matrix(1)
@@ -535,6 +532,26 @@ class TestResistanceMatrix:
             r_mat = resistance_matrix(ntd_from_dtn(dtn_numeric(prob)), cfg)
             assert np.abs(r_mat - r_mat.T).max() <= 1e-10
             assert np.abs(r_mat @ np.ones(cfg.count)).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_max=st.integers(1, 16),
+        count=st.integers(2, 12),
+        coverage=st.floats(0.1, 0.9),
+        impedance=st.floats(0.01, 10.0),
+    )
+    def test_annihilates_constants(self, seed, n_max, count, coverage, impedance):
+        # R 1 = 0 and 1^T R = 0 for any symmetric positive definite NtD block
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((2 * n_max, 2 * n_max))
+        ntd = b @ b.T / (2 * n_max) + 0.01 * np.eye(2 * n_max)
+        cfg = ElectrodeConfig.equispaced(count, coverage, impedance)
+        r_mat = resistance_matrix(ntd, cfg)
+        ones = np.ones(count)
+        scale = np.abs(r_mat).max()
+        assert np.abs(r_mat @ ones).max() <= 1e-13 * scale
+        assert np.abs(ones @ r_mat).max() <= 1e-13 * scale
 
     def test_difference_controlled_by_ntd_difference(self):
         rng = np.random.default_rng(8)

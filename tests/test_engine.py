@@ -154,9 +154,8 @@ def class_matrix(cfg, shape):
     constants of cfg.problem, computed from the forward solvers directly."""
     if cfg.problem == "farfield":
         prob = ObstacleProblem(shape, cfg.a_list, cfg.scatter_n_max, cfg.scatter_quad, cfg.directions)
-        fields = farfield_numeric(prob)
-        magnitudes = np.max([np.abs(fields[a].entries) for a in cfg.a_list], axis=0)
-        return magnitudes, fourier_degrees(cfg.scatter_n_max)
+        fields, _ = farfield_numeric(prob)
+        return np.abs(fields).max(axis=0), fourier_degrees(cfg.scatter_n_max)
     prob = InclusionProblem(shape, cfg.a, cfg.n_max, cfg.quad_nodes)
     if cfg.problem == "dtn":
         return np.abs(delta_dtn_weighted(prob)), fourier_degrees(cfg.n_max)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expinstab import shapes
 from expinstab.packing import (
@@ -71,6 +73,25 @@ class TestBuildPacking:
                 d = hausdorff_distance(built[i], built[j], samples=512)
                 res = hausdorff_resolution(built[i], built[j], samples=512)
                 assert d >= eps - res
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(shapes.KINDS),
+        m=st.integers(1, 3),
+        base=st.floats(0.3, 1.0),
+        fraction=st.floats(0.1, 0.95),
+        data=st.data(),
+    )
+    def test_distinct_patterns_are_eps_apart(self, kind, m, base, fraction, data):
+        cls = ShapeClass(kind=kind, base=base, m=m, beta=1.0)
+        fam = build_packing(cls, fraction * class_eps0(cls))
+        assert fam.eps0 == class_eps0(cls)
+        patterns = st.integers(0, (1 << fam.cell_count) - 1)
+        p, q = data.draw(patterns), data.draw(patterns)
+        assume(p != q)
+        a, b = fam.shape(p), fam.shape(q)
+        d = hausdorff_distance(a, b, samples=512)
+        assert d >= fam.eps - hausdorff_resolution(a, b, samples=512)
 
     def test_zero_pattern_is_base_shape(self):
         fam = build_packing(RADIAL, 0.05)
