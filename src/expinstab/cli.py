@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -104,13 +105,19 @@ def config_text(cfg: ExperimentConfig) -> str:
     """Effective config echo; parses back to an identical config.
 
     The output directory is an invocation detail, not part of the experiment,
-    so it is omitted (identical experiments echo identical bytes).
+    so it is omitted (identical experiments echo identical bytes).  A last
+    '#' comment line records the BLAS build and ``OPENBLAS_NUM_THREADS``
+    (or ``unset``): the outputs are byte-identical only at a fixed BLAS
+    build and thread count.
     """
     lines = [
         f"{f.name}={format_value(getattr(cfg, f.name))}"
         for f in fields(cfg)
         if f.name != "out"
     ]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    lines.append(f"# blas={blas['name']} {blas['version']} OPENBLAS_NUM_THREADS={threads}")
     return "\n".join(lines) + "\n"
 
 
@@ -157,8 +164,7 @@ def _cmd_pack(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     )
     eps = cfg.eps_list[0]
     family = packing.build_packing(cls, eps)
-    rng = np.random.default_rng(cfg.seed)
-    patterns = family.sample_patterns(rng, cfg.samples)
+    patterns = family.sample_patterns(cfg.seed, cfg.samples)
     built = [family.shape(p) for p in patterns]
     base = family.base_shape()
     samples = min(cfg.grid_size, 512)

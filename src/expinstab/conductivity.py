@@ -409,6 +409,29 @@ def _arc_multiplication_matrix(arc: tuple[float, float], n_max: int) -> np.ndarr
     return x
 
 
+@functools.lru_cache(maxsize=16)
+def _electrode_operators(cfg: ElectrodeConfig, n_max: int) -> tuple[np.ndarray, ...]:
+    """Read-only shape-independent parts of resistance_matrix: the arc mode
+    integrals c_vecs (one row per electrode), the arc-wise impedance operator
+    s_op, diag(1/lengths), and the projections that remove constant current
+    patterns and make the voltages sum to zero."""
+    size = 2 * n_max + 1
+    lengths = cfg.lengths
+    c_vecs = np.stack([arc_mode_integrals(arc, n_max) for arc in cfg.arcs])
+    s_op = np.zeros((size, size))
+    for l, arc in enumerate(cfg.arcs):
+        x_l = _arc_multiplication_matrix(arc, n_max)
+        s_op += (x_l - np.outer(c_vecs[l], c_vecs[l]) / lengths[l]) / cfg.impedances[l]
+    count = cfg.count
+    ones = np.ones(count)
+    proj_in = np.eye(count) - np.outer(ones, ones) / count
+    proj_out = np.eye(count) - np.outer(lengths, ones) / lengths.sum()
+    operators = (c_vecs, s_op, np.diag(1.0 / lengths), proj_in, proj_out)
+    for a in operators:
+        a.flags.writeable = False
+    return operators
+
+
 def resistance_matrix(ntd_matrix: np.ndarray, cfg: ElectrodeConfig) -> np.ndarray:
     """L x L resistance matrix of the complete electrode model.
 
@@ -417,26 +440,16 @@ def resistance_matrix(ntd_matrix: np.ndarray, cfg: ElectrodeConfig) -> np.ndarra
     (Id + K(D)) phi = I_tilde in the truncated Fourier space, where K(D)
     applies the Neumann-to-Dirichlet map arc-wise with impedance weights,
     then assembles V from arc averages of the resulting potential; voltages
-    are normalized to sum to zero and R annihilates constants.
+    are normalized to sum to zero and R annihilates constants.  Everything
+    but the NtD matrix is built once per (cfg, n_max).
     """
     size = ntd_matrix.shape[0] + 1
-    n_max = size // 2
+    c_vecs, s_op, inv_lengths, proj_in, proj_out = _electrode_operators(cfg, size // 2)
     n_full = np.zeros((size, size))
     n_full[1:, 1:] = ntd_matrix
-
-    lengths = cfg.lengths
-    c_vecs = np.stack([arc_mode_integrals(arc, n_max) for arc in cfg.arcs])
-    s_op = np.zeros((size, size))
-    for l, arc in enumerate(cfg.arcs):
-        x_l = _arc_multiplication_matrix(arc, n_max)
-        s_op += (x_l - np.outer(c_vecs[l], c_vecs[l]) / lengths[l]) / cfg.impedances[l]
 
     system = np.eye(size) + s_op @ n_full
     # R_pre maps current patterns to arc integrals of N(D) phi
     w_mat = n_full @ checked_inverse(system, "electrode system")
-    r_pre = c_vecs @ w_mat @ c_vecs.T @ np.diag(1.0 / lengths)
-    count = cfg.count
-    ones = np.ones(count)
-    proj_in = np.eye(count) - np.outer(ones, ones) / count
-    proj_out = np.eye(count) - np.outer(lengths, ones) / lengths.sum()
+    r_pre = c_vecs @ w_mat @ c_vecs.T @ inv_lengths
     return proj_out @ r_pre @ proj_in

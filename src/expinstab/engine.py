@@ -304,8 +304,7 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
     for index, eps in enumerate(cfg.eps_list):
         family = build_packing(cls, float(eps))
         eps0 = family.eps0
-        rng = np.random.default_rng([cfg.seed, index])
-        patterns = family.sample_patterns(rng, cfg.budget)
+        patterns = family.sample_patterns([cfg.seed, index], cfg.budget)
         # measurements go straight into one array: a list stacked afterwards
         # keeps its copy on the heap through the pair search (6.8 MB at dtn
         # budget 200).  No shape outlives its solve and no class matrix its

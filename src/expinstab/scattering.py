@@ -122,18 +122,24 @@ def _log_weights(n: int) -> np.ndarray:
     return r
 
 
-def _distances(points: np.ndarray, nodes: BoundaryNodes,
-               out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _distances(points: np.ndarray, nodes: BoundaryNodes, out: np.ndarray | None = None,
+               transposed: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """|x_i - y_j| and nu(y_j).(x_i - y_j) for points x_i and boundary nodes
-    y_j, written into the first two of out's four arrays of the result's
-    shape (made here when not given); the other two are scratch."""
+    y_j at [i, j], or at [j, i] when transposed (the same operations on
+    every entry), written into the first two of out's four arrays of the
+    result's shape (made here when not given); the other two are scratch."""
+    px, py = points[:, :1], points[:, 1:]
+    yx, yy, nx, ny = nodes.points[:, 0], nodes.points[:, 1], nodes.normals[:, 0], nodes.normals[:, 1]
+    if transposed:
+        px, py = px.T, py.T
+        yx, yy, nx, ny = yx[:, None], yy[:, None], nx[:, None], ny[:, None]
     if out is None:
-        out = np.empty((4, len(points), len(nodes.points)))
+        out = np.empty((4,) + np.broadcast_shapes(px.shape, yx.shape))
     dx, nu_dot, dy, term = out
-    np.subtract(points[:, :1], nodes.points[:, 0], out=dx)
-    np.subtract(points[:, 1:], nodes.points[:, 1], out=dy)
-    np.multiply(dx, nodes.normals[:, 0], out=nu_dot)
-    nu_dot += np.multiply(dy, nodes.normals[:, 1], out=term)
+    np.subtract(px, yx, out=dx)
+    np.subtract(py, yy, out=dy)
+    np.multiply(dx, nx, out=nu_dot)
+    nu_dot += np.multiply(dy, ny, out=term)
     dx *= dx
     dy *= dy
     dx += dy
@@ -143,14 +149,15 @@ def _distances(points: np.ndarray, nodes: BoundaryNodes,
 @functools.cache
 def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables of the node count alone: ln(4 sin^2((t_i - t_j)/2))
-    (0 on the diagonal), the log weights gathered as R_|i-j|, the flat indices
-    of the upper triangle with its diagonal, and the triangle position of each
-    (i, j) or (j, i)."""
+    (0 on the diagonal) and the log weights gathered as R_|i-j|, both at
+    [j, i] like the transposed kernel of _kernel_matrices, the flat indices
+    of the upper triangle with its diagonal, and the triangle position of
+    each (i, j) or (j, i)."""
     weights = _log_weights(n)
     t = 2.0 * np.pi * np.arange(n) / n
-    log_fac = np.log(4.0 * np.sin(0.5 * (t[:, None] - t[None, :])) ** 2,
+    log_fac = np.log(4.0 * np.sin(0.5 * (t[None, :] - t[:, None])) ** 2,
                      where=~np.eye(n, dtype=bool), out=np.zeros((n, n)))
-    gathered = weights[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    gathered = weights[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
     rows, cols = np.triu_indices(n)
     mirror = np.empty((n, n), dtype=np.intp)
     mirror[rows, cols] = mirror[cols, rows] = np.arange(rows.size)
@@ -193,30 +200,32 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
     Every product in the complex kernels has a real or a purely imaginary
     factor, so their real and imaginary planes are computed apart in float64,
     bit for bit the complex form's products and sums.  Each plane is built in
-    an array whose values it has consumed.  All arrays, the returned matrix
-    too, are this thread's kept arrays: the next call at the same node count
-    overwrites them."""
+    an array whose values it has consumed.  Every n x n array holds the
+    transpose, entry (i, j) at [j, i], and quad.T is returned: a
+    Fortran-ordered view, which LAPACK factors without a transposing copy.
+    All arrays, the returned matrix too, are this thread's kept arrays: the
+    next call at the same node count overwrites them."""
     eta = k
     n = nodes.jac.size
     log_fac, r_weights, _, _ = _quadrature_tables(n)
     planes = kept_array("kernel_planes", (6, n, n))
-    r, nu_cos = _distances(nodes.points, nodes, out=planes[:4])
+    r, nu_cos = _distances(nodes.points, nodes, out=planes[:4], transposed=True)
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
     nu_cos /= r
     # r is bitwise symmetric: its entries come from negated coordinate differences
     j0, j1, y0, y1 = _symmetric_jy01(np.multiply(k, r, out=planes[2]), out=planes[2:])
-    jac_row = nodes.jac[None, :]
+    jac_y = nodes.jac[:, None]  # |x'(y_j)|, down the rows of the transpose
 
     # K = (ik/4) H1(kr) (nu(y).(x-y)/r) |x'(y)| - i eta (i/4) H0(kr) |x'(y)|,
     # double layer minus i eta times single layer, with H = J + iY, and
     # K1 = -(k/4pi) J1(kr) (...) |x'| - i eta (-(1/4pi) J0(kr) |x'|)
-    k1_re = _product(r, -(k / (4.0 * math.pi)), j1, nu_cos, jac_row)
-    k2_im = _product(j1, k / 4.0, j1, nu_cos, jac_row)
-    k2_re = _product(y1, -(k / 4.0), y1, nu_cos, jac_row)
+    k1_re = _product(r, -(k / (4.0 * math.pi)), j1, nu_cos, jac_y)
+    k2_im = _product(j1, k / 4.0, j1, nu_cos, jac_y)
+    k2_re = _product(y1, -(k / 4.0), y1, nu_cos, jac_y)
     term = nu_cos
-    k2_im += _product(term, 0.25, y0, jac_row, eta)
-    k2_re += _product(term, 0.25, j0, jac_row, eta)
-    k1_im = _product(j0, 1.0 / (4.0 * math.pi), j0, jac_row, eta)
+    k2_im += _product(term, 0.25, y0, jac_y, eta)
+    k2_re += _product(term, 0.25, j0, jac_y, eta)
+    k1_im = _product(j0, 1.0 / (4.0 * math.pi), j0, jac_y, eta)
     # K2 = K - K1 ln(4 sin^2)
     k2_re -= _product(term, k1_re, log_fac)
     k2_im -= _product(term, k1_im, log_fac)
@@ -237,7 +246,7 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
         k1 *= r_weights
         k2 *= 2.0 * np.pi / n
         np.add(k1, k2, out=plane)
-    return quad
+    return quad.T
 
 
 @dataclass

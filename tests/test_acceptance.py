@@ -90,8 +90,7 @@ def test_criterion_1_packing():
                 eps, m, 1.0, 2, eps0
             )
             assert eps < eps0_prime
-            rng = np.random.default_rng(1000 + m)
-            patterns = family.sample_patterns(rng, 21)
+            patterns = family.sample_patterns(1000 + m, 21)
             built = [family.shape(p) for p in patterns]
             pairs = [
                 (i, j) for i in range(len(built)) for j in range(i + 1, len(built))

@@ -141,7 +141,7 @@ class TestSubcommands:
             kind=cfg.kind, base=cfg.base_radius, m=cfg.m, beta=cfg.beta, grid_size=cfg.grid_size
         )
         family = packing.build_packing(cls, 0.05)
-        built = [family.shape(p) for p in family.sample_patterns(np.random.default_rng(3), 50)]
+        built = [family.shape(p) for p in family.sample_patterns(3, 50)]
         rows = (tmp_path / "pack.csv").read_text().splitlines()[1:]
         assert len(rows) == len(built)
         for row, shape in zip(rows, built):
@@ -368,3 +368,24 @@ def test_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_runs_load_no_numpy_random(tmp_path):
+    # the patterns come from packing.random_bits: numpy.random would add
+    # 5.6 MB of resident memory to every run
+    code = (
+        "import sys\n"
+        "from expinstab import cli\n"
+        "out = sys.argv[1]\n"
+        "assert cli.main(['instability', '--eps-list', '0.1', '--budget', '4', '--n-max', '4',\n"
+        "                 '--quad-nodes', '64', '--out', out + '/run']) == 0\n"
+        "assert cli.main(['pack', '--eps-list', '0.1', '--samples', '4', '--grid-size', '256',\n"
+        "                 '--out', out + '/pack']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH="src")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+    assert (tmp_path / "pack" / "pack.csv").read_text().count("\n") == 5

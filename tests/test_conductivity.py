@@ -15,6 +15,7 @@ from expinstab.conductivity import (
     InclusionProblem,
     SolverError,
     _arc_multiplication_matrix,
+    _electrode_operators,
     _kstar_matrix,
     _mode_traces,
     _shell_maxima,
@@ -576,6 +577,35 @@ class TestResistanceMatrix:
                 dr = np.linalg.norm(mats[i] - mats[j], 2)
                 dn = np.linalg.norm(ntds[i] - ntds[j], 2)
                 assert dr <= c_hat * dn * (1 + 1e-12)
+
+    def test_operators_built_once_and_bits_unchanged(self):
+        # the shape-independent operators are cached and read-only; every
+        # product runs in the order of the per-shape assembly kept here
+        rng = np.random.default_rng(12)
+        cfg, n_max = ElectrodeConfig.equispaced(5, 0.6, 0.3), 8
+        size = 2 * n_max + 1
+        operators = _electrode_operators(cfg, n_max)
+        assert _electrode_operators(cfg, n_max) is operators
+        assert not any(a.flags.writeable for a in operators)
+        for _ in range(3):
+            b = rng.standard_normal((2 * n_max, 2 * n_max))
+            ntd = b @ b.T / (2 * n_max) + 0.01 * np.eye(2 * n_max)
+            n_full = np.zeros((size, size))
+            n_full[1:, 1:] = ntd
+            lengths = cfg.lengths
+            c_vecs = np.stack([arc_mode_integrals(arc, n_max) for arc in cfg.arcs])
+            s_op = np.zeros((size, size))
+            for l, arc in enumerate(cfg.arcs):
+                x_l = _arc_multiplication_matrix(arc, n_max)
+                s_op += (x_l - np.outer(c_vecs[l], c_vecs[l]) / lengths[l]) / cfg.impedances[l]
+            w_mat = n_full @ np.linalg.inv(np.eye(size) + s_op @ n_full)
+            r_pre = c_vecs @ w_mat @ c_vecs.T @ np.diag(1.0 / lengths)
+            ones = np.ones(cfg.count)
+            proj_in = np.eye(cfg.count) - np.outer(ones, ones) / cfg.count
+            proj_out = np.eye(cfg.count) - np.outer(lengths, ones) / lengths.sum()
+            want = proj_out @ r_pre @ proj_in
+            got = resistance_matrix(ntd, cfg)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_rejects_overlapping_arcs(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy
@@ -13,6 +15,7 @@ from expinstab.packing import (
     class_eps0,
     construction_eps0_prime,
     packing_lower_bound,
+    random_bits,
 )
 from expinstab.shapes import hausdorff_distance, hausdorff_resolution, validate_membership
 
@@ -65,8 +68,7 @@ class TestBuildPacking:
         # m=1, beta=1: w = 2*eps, so Mc ~ pi*r/w = pi/(4*eps)
         expected = np.pi / (4 * eps)
         assert expected - 1 <= fam.cell_count <= expected
-        rng = np.random.default_rng(0)
-        pats = fam.sample_patterns(rng, 12)
+        pats = fam.sample_patterns(0, 12)
         built = [fam.shape(p) for p in pats]
         for i in range(len(built)):
             for j in range(i + 1, len(built)):
@@ -99,8 +101,7 @@ class TestBuildPacking:
 
     def test_all_family_members_pass_membership(self):
         fam = build_packing(RADIAL, 0.08)
-        rng = np.random.default_rng(1)
-        for p in fam.sample_patterns(rng, 8):
+        for p in fam.sample_patterns(1, 8):
             s = fam.shape(p)
             assert validate_membership(s, RADIAL.m, RADIAL.beta, fam.eps).ok
 
@@ -118,9 +119,38 @@ class TestBuildPacking:
 
     def test_sampling_deterministic(self):
         fam = build_packing(RADIAL, 0.02)
-        a = fam.sample_patterns(np.random.default_rng(42), 20)
-        b = fam.sample_patterns(np.random.default_rng(42), 20)
+        a = fam.sample_patterns(42, 20)
+        b = fam.sample_patterns(42, 20)
         assert a == b and len(set(a)) == 20
+
+
+class TestRandomBits:
+    """random_bits is numpy's default_rng(entropy).integers(0, 2) bit for bit."""
+
+    @pytest.mark.parametrize(
+        "entropy",
+        [0, 1, 7, 2024, 2**32 + 5, 123456789012345, 2**64 + 3]
+        + [[s, i] for s in (0, 7, 2024, 2**32 + 5, 123456789012345) for i in range(4)]
+        + [[1, 2, 3, 4, 5, 6], [2**40, 2**33, 9, 0, 1]],
+    )
+    def test_equals_numpy_generator(self, entropy):
+        # consecutive draws of odd lengths carry PCG64's half-used 64-bit word
+        rng, bits = np.random.default_rng(entropy), random_bits(entropy)
+        for size in (15, 39, 3, 1, 7, 65, 64):
+            assert list(itertools.islice(bits, size)) == rng.integers(0, 2, size=size).tolist()
+
+    @pytest.mark.parametrize("entropy", [3, [2024, 0], [7, 2]])
+    def test_sample_patterns_equal_generator_loop(self, entropy):
+        fam = build_packing(RADIAL, 0.05)
+        rng, seen = np.random.default_rng(entropy), {}
+        while len(seen) < 40:
+            bits = rng.integers(0, 2, size=fam.cell_count)
+            seen.setdefault(int(sum(int(b) << c for c, b in enumerate(bits))), None)
+        assert fam.sample_patterns(entropy, 40) == list(seen)
+
+    def test_negative_entropy_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(random_bits([1, -1]))
 
 
 class TestLowerBound:

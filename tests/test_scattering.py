@@ -235,7 +235,9 @@ class TestKernelBitIdentity:
     def test_kernel_equals_full_grid_form(self, a):
         k = math.sqrt(a)
         nodes = shapes.boundary_nodes(self.bumpy_star().profile, 64)
-        assert np.array_equal(_kernel_matrices(nodes, k), full_grid_kernel(nodes, k))
+        kernel = _kernel_matrices(nodes, k)
+        assert kernel.flags.f_contiguous  # LAPACK factors it without a transposing copy
+        assert np.array_equal(kernel, full_grid_kernel(nodes, k))
         r, _ = _distances(nodes.points, nodes)
         np.fill_diagonal(r, 1.0)
         mirrored = _symmetric_jy01(k * r)
@@ -264,7 +266,8 @@ class TestKernelBitIdentity:
 
     @staticmethod
     def same_bits(got, want):
-        return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the kernel is a Fortran-ordered view; a C-ordered copy keeps its bits
+        return np.array_equal(np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64))
 
     def test_kept_arrays_keep_node_counts_and_threads_apart(self):
         # each thread keeps its kernel arrays between solves: a call at another
