@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from expinstab import packing, shapes, spectral
+from expinstab import engine, packing, shapes, spectral
 from expinstab.conductivity import (
     ElectrodeConfig,
     InclusionProblem,
@@ -162,6 +162,7 @@ def _cmd_pack(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     cls = packing.ShapeClass(
         kind=cfg.kind, base=cfg.base_radius, m=cfg.m, beta=cfg.beta, grid_size=cfg.grid_size
     )
+    engine.check_eps_list(cls, cfg.eps_list)
     eps = cfg.eps_list[0]
     family = packing.build_packing(cls, eps)
     patterns = family.sample_patterns(cfg.seed, cfg.samples)

@@ -15,11 +15,12 @@ interfaces the kernel is continuous (diagonal limit through the curvature)
 and the periodic trapezoid rule converges spectrally.  The kernel's transpose
 is filled in cache-sized row blocks, bit for bit the full-array build at about
 a quarter of its peak memory, into an array that each thread keeps between
-shapes; LAPACK then reads the kernel in Fortran order without a copy.  Matrix
-entries against the circle Fourier basis reduce to interface integrals of phi
-against the harmonic extensions, so no volume mesh is needed.  This replaces a
-finite-difference interior solver; the concentric closed form serves as the
-accuracy gate.
+shapes; LAPACK then reads the kernel in Fortran order without a copy.  Each
+block divides nu(x).(x - y) by |x - y|^2, for the sources y and their images,
+both from shapes.pair_geometry as in the scattering kernel.  Matrix entries
+against the circle Fourier basis reduce to interface integrals of phi against
+the harmonic extensions, so no volume mesh is needed; the concentric closed
+form serves as the accuracy gate.
 """
 
 from __future__ import annotations
@@ -112,26 +113,6 @@ def dtn_concentric(rho: float, a: float, n_max: int) -> np.ndarray:
     return n * (1.0 - shrink) / (1.0 + shrink)
 
 
-def _normal_quotients(frame: np.ndarray, px: np.ndarray, py: np.ndarray,
-                      out: np.ndarray, scratch: list[np.ndarray]) -> None:
-    """Write nu(x_j).(x_j - p_i) / |x_j - p_i|^2 into out[i, j] for the
-    interface nodes x_j, whose coordinates and normal components are the rows
-    x, y, nu_x, nu_y of frame, and the points p_i of a row block, given as
-    the columns px, py; scratch holds three arrays of out's shape."""
-    x, y, nu_x, nu_y = frame
-    dx, dy, term = scratch
-    np.subtract(x, px, out=dx)
-    np.subtract(y, py, out=dy)
-    np.multiply(nu_x, dx, out=out)
-    np.multiply(nu_y, dy, out=term)
-    out += term
-    dx *= dx
-    dy *= dy
-    dx += dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out /= dx
-
-
 def kept_array(name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
     """This thread's array called name, kept between calls and made anew only
     when its shape or dtype changes; it holds whatever its last user left.
@@ -160,10 +141,9 @@ def _kstar_matrix(nodes: BoundaryNodes, kernel: np.ndarray) -> np.ndarray:
     operations as a full-array build of the kernel."""
     n = nodes.weights.size
     frame = np.vstack([nodes.points.T, nodes.normals.T])  # contiguous x, y, nu_x, nu_y
-    x, y = frame[0], frame[1]
+    points, normals = frame[:2], frame[2:]
     # image part: y* = y/|y|^2, smooth since |y*| >= 1/0.8 > |x|
-    r2 = np.hypot(x, y) ** 2
-    image_x, image_y = x / r2, y / r2
+    images = points / np.hypot(*points) ** 2
     # continuous diagonal limit of the log part: -kappa/(4 pi) once negated and scaled
     log_diagonal = 0.5 * nodes.curvature
     scale = nodes.weights / (2.0 * np.pi)
@@ -171,9 +151,12 @@ def _kstar_matrix(nodes: BoundaryNodes, kernel: np.ndarray) -> np.ndarray:
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))
         block = kernel[rows]
-        log_part, *scratch = work[:, : block.shape[0]]
-        _normal_quotients(frame, image_x[rows, None], image_y[rows, None], block, scratch)
-        _normal_quotients(frame, x[rows, None], y[rows, None], log_part, scratch)
+        log_part, dist2, *scratch = work[:, : block.shape[0]]
+        # at [i, j]: the target x_j runs along a row, the source y_i (or y_i*) down a column
+        for sources, part in ((images, block), (points, log_part)):
+            shapes.pair_geometry(points, sources[:, rows, None], normals, (dist2, part, *scratch))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                part /= dist2  # 0/0 on the log part's diagonal, set next
         log_part.flat[start :: n + 1] = log_diagonal[rows]
         block -= log_part
         block *= scale[rows, None]

@@ -53,7 +53,7 @@ from expinstab.conductivity import (
     resistance_matrix,
 )
 from expinstab.opnet import counting_check, delta_of_epsilon, net_size_log_bound
-from expinstab.packing import ShapeClass, build_packing, packing_lower_bound
+from expinstab.packing import ShapeClass, build_packing, class_eps0, packing_lower_bound
 from expinstab.scattering import ObstacleProblem, farfield_numeric
 from expinstab.shapes import Shape, hausdorff_distance, hausdorff_resolution
 
@@ -169,6 +169,15 @@ class ExperimentConfig:
             beta=self.beta,
             grid_size=self.grid_size,
         )
+
+
+def check_eps_list(cls: ShapeClass, eps_list: tuple[float, ...]) -> None:
+    """ConfigError naming eps0 when an eps of eps_list is not below the
+    class_eps0 of cls, the largest eps at which two cells fit."""
+    eps0 = class_eps0(cls)
+    if max(eps_list) >= eps0:
+        message = f"eps_list: eps {max(eps_list)} is not below eps0={eps0:.6g} of its shape class"
+        raise ConfigError(message, "eps_list")
 
 
 def _make_forward(cfg: ExperimentConfig):
@@ -295,8 +304,9 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
     distance.  Deterministic: identical configs (seed included) give
     identical reports.
     """
-    forward, degrees, dist, lower_bound = _make_forward(cfg)
     cls = cfg.shape_class()
+    check_eps_list(cls, cfg.eps_list)
+    forward, degrees, dist, lower_bound = _make_forward(cfg)
     records = []
     fits = []
     class_alpha2 = math.inf

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from expinstab import shapes
 from expinstab.shapes import FlatProfile, RadialProfile, Shape
@@ -50,18 +49,24 @@ def build_bump(m: int, height: float, half_width: float, samples: int = 257) -> 
 def bump_derivative_maxima(m: int) -> np.ndarray:
     """sup over [-1,1] of |d^k/dt^k (1-t^2)^(m+1)| for k = 0..m.
 
-    Computed exactly from the polynomial coefficients: critical points are
-    roots of the next derivative.
+    Computed from the integer polynomial coefficients (exact in float64 for
+    every m in use): critical points are the real roots of the next
+    derivative, the eigenvalues of the companion matrix that numpy.polynomial
+    builds, so the bits are its own without its 0.9 MB of resident memory.
     """
-    phi = Polynomial([1.0, 0.0, -1.0]) ** (m + 1)
+    coef = np.zeros(2 * m + 3)  # ascending powers of t
+    coef[::2] = [(-1) ** j * math.comb(m + 1, j) for j in range(m + 2)]
     out = np.empty(m + 1)
     for k in range(m + 1):
-        dk = phi.deriv(k)
-        roots = dk.deriv().roots()
+        slope = np.arange(1, coef.size) * coef[1:]
+        companion = np.eye(slope.size - 1, k=-1)
+        companion[:, -1] -= slope[:-1] / slope[-1]
+        roots = np.linalg.eigvals(companion)
         cand = roots[np.isreal(roots)].real
         cand = cand[(cand >= -1.0) & (cand <= 1.0)]
         pts = np.concatenate([cand, [-1.0, 1.0]])
-        out[k] = np.abs(dk(pts)).max()
+        out[k] = np.abs(np.polyval(coef[::-1], pts)).max()
+        coef = slope
     return out
 
 
@@ -92,7 +97,6 @@ class ShapeClass:
     base: float = 0.5
     m: int = 1
     beta: float = 1.0
-    center: tuple[float, float] = (0.0, 0.0)
     grid_size: int = shapes.DEFAULT_GRID
 
     @property
@@ -163,7 +167,6 @@ class PackingFamily:
             profile = RadialProfile(
                 values,
                 base_radius=cls.base,
-                center=cls.center,
                 smoothness_order=cls.m,
                 norm_bound=cls.beta,
                 amplitude_cap=self.eps,

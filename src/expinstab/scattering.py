@@ -10,15 +10,16 @@ the log part is integrated with the Martensen-Kussmaul trigonometric weights,
 which is spectrally accurate on smooth boundaries.  Plane-wave phases stay
 real until the exp, 1j * (k * x @ d.T): the values equal the complex-GEMM form
 1j * k * x @ d.T, but an OpenBLAS complex GEMM slows the complex exp that
-follows it about 15-fold.  The kernel build writes every n x n and
-triangle-sized array, the Bessel series' scratch included, into arrays that
-each thread keeps between solves (conductivity.kept_array): with glibc malloc
-the several MB that a solve used to allocate and free went back to the
-operating system, and the next solve faulted them in again (about 1,450
-page faults and 3 ms of system time per 192-node solve).  Far-field
-coefficients b_kl are projections of the far-field pattern on the circle
-Fourier basis; the closed-form disk series (Jacobi-Anger) is the accuracy
-oracle.
+follows it about 15-fold.  The kernel and scattered_at take |x - y| and
+nu(y).(x - y) from shapes.pair_geometry, as the conductivity kernel does.  The
+kernel build writes every n x n and triangle-sized array, the Bessel series'
+scratch included, into arrays that each thread keeps between solves
+(conductivity.kept_array): with glibc malloc the several MB that a solve used
+to allocate and free went back to the operating system, and the next solve
+faulted them in again (about 1,450 page faults and 3 ms of system time per
+192-node solve).  Far-field coefficients b_kl are projections of the
+far-field pattern on the circle Fourier basis; the closed-form disk series
+(Jacobi-Anger) is the accuracy oracle.
 """
 
 from __future__ import annotations
@@ -122,30 +123,6 @@ def _log_weights(n: int) -> np.ndarray:
     return r
 
 
-def _distances(points: np.ndarray, nodes: BoundaryNodes, out: np.ndarray | None = None,
-               transposed: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """|x_i - y_j| and nu(y_j).(x_i - y_j) for points x_i and boundary nodes
-    y_j at [i, j], or at [j, i] when transposed (the same operations on
-    every entry), written into the first two of out's four arrays of the
-    result's shape (made here when not given); the other two are scratch."""
-    px, py = points[:, :1], points[:, 1:]
-    yx, yy, nx, ny = nodes.points[:, 0], nodes.points[:, 1], nodes.normals[:, 0], nodes.normals[:, 1]
-    if transposed:
-        px, py = px.T, py.T
-        yx, yy, nx, ny = yx[:, None], yy[:, None], nx[:, None], ny[:, None]
-    if out is None:
-        out = np.empty((4,) + np.broadcast_shapes(px.shape, yx.shape))
-    dx, nu_dot, dy, term = out
-    np.subtract(px, yx, out=dx)
-    np.subtract(py, yy, out=dy)
-    np.multiply(dx, nx, out=nu_dot)
-    nu_dot += np.multiply(dy, ny, out=term)
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx), nu_dot
-
-
 @functools.cache
 def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables of the node count alone: ln(4 sin^2((t_i - t_j)/2))
@@ -167,15 +144,13 @@ def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return tables
 
 
-def _symmetric_jy01(kr: np.ndarray, out: np.ndarray | None = None):
+def _symmetric_jy01(kr: np.ndarray, out: np.ndarray):
     """jy01_kernel of a bitwise-symmetric matrix from its upper triangle: the
     series and asymptotic loops stop on the max over the same set of
     arguments, so the values are the full-grid call's bit for bit.  They are
-    written into out's four arrays of kr's shape (made here when not given;
-    kr may be one of them); the triangle is evaluated in kept arrays."""
+    written into out's four arrays of kr's shape (kr may be one of them); the
+    triangle is evaluated in kept arrays."""
     _, _, upper, mirror = _quadrature_tables(kr.shape[0])
-    if out is None:
-        out = np.empty((4,) + kr.shape)
     # mode="clip" takes straight into out: the default mode buffers a copy
     args = np.take(kr, upper, out=kept_array("jy01_args", upper.shape), mode="clip")
     work = kept_array("jy01_work", (special.WORK_ROWS,) + upper.shape)
@@ -209,7 +184,10 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
     n = nodes.jac.size
     log_fac, r_weights, _, _ = _quadrature_tables(n)
     planes = kept_array("kernel_planes", (6, n, n))
-    r, nu_cos = _distances(nodes.points, nodes, out=planes[:4], transposed=True)
+    # at [j, i]: the target x_i runs along a row, the source y_j and its normal down a column
+    sources, normals = nodes.points.T[..., None], nodes.normals.T[..., None]
+    shapes.pair_geometry(nodes.points.T, sources, normals, planes[:4])
+    r, nu_cos = np.sqrt(planes[0], out=planes[0]), planes[1]
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
     nu_cos /= r
     # r is bitwise symmetric: its entries come from negated coordinate differences
@@ -278,7 +256,10 @@ class ScatteringSolution:
     def scattered_at(self, points: np.ndarray, direction_index: int = 0) -> np.ndarray:
         """Scattered field at exterior points for one incident direction."""
         k = self.k
-        r, nu_dot = _distances(np.atleast_2d(points), self.nodes)
+        targets = np.atleast_2d(points).T[..., None]
+        geometry = np.empty((4, targets.shape[1], self.nodes.jac.size))
+        shapes.pair_geometry(targets, self.nodes.points.T, self.nodes.normals.T, geometry)
+        r, nu_dot = np.sqrt(geometry[0]), geometry[1]
         j0, j1, y0, y1 = special.jy01_kernel(k * r)
         h0 = j0 + 1j * y0
         h1 = j1 + 1j * y1

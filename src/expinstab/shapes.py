@@ -8,7 +8,9 @@ C^m norm is a centered finite-difference surrogate of the true norm; it is
 exact on sampled polynomials of degree <= m up to difference-scheme order and
 under-approximates the true norm in general, so constructions elsewhere keep
 a 5% safety margin when targeting a norm bound.  boundary_nodes gives the
-quadrature nodes on which both Nystrom solvers discretize a radial boundary.
+quadrature nodes on which both Nystrom solvers discretize a radial boundary,
+and pair_geometry the squared distances and normal projections between
+nodes that both solvers' kernels are built from.
 """
 
 from __future__ import annotations
@@ -186,6 +188,23 @@ def boundary_nodes(profile: RadialProfile, n: int) -> BoundaryNodes:
     normals = np.column_stack([rho * ct + d_rho * st, rho * st - d_rho * ct]) / jac[:, None]
     curvature = (rho**2 + 2.0 * d_rho**2 - rho * dd_rho) / jac**3
     return BoundaryNodes(points, normals, jac, (2.0 * np.pi / n) * jac, curvature)
+
+
+def pair_geometry(targets, sources, normals, out) -> None:
+    """Write |t - s|^2 into out[0] and nu.(t - s) into out[1] for targets t,
+    sources s and normals nu, each given as its x and y components, which the
+    caller broadcasts to the shape of out's arrays; out[2] and out[3] are
+    scratch.  Every entry is t - s, nu_x dx + nu_y dy and dx^2 + dy^2, the
+    same operations on the same operands in any layout."""
+    (tx, ty), (sx, sy), (nu_x, nu_y) = targets, sources, normals
+    dist2, nu_dot, dy, term = out
+    np.subtract(tx, sx, out=dist2)
+    np.subtract(ty, sy, out=dy)
+    np.multiply(nu_x, dist2, out=nu_dot)
+    nu_dot += np.multiply(nu_y, dy, out=term)
+    dist2 *= dist2
+    dy *= dy
+    dist2 += dy
 
 
 def _flat_points(profile: FlatProfile, n: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from expinstab import cli, conductivity, packing, shapes
+from expinstab import cli, conductivity, engine, packing, shapes
 from expinstab.cli import ConfigError, ExperimentConfig, config_text, parse_config, write_csv
 from expinstab.shapes import save_shape
 
@@ -358,6 +358,30 @@ class TestSubcommands:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize(
+        "argv, eps0",
+        [
+            (["instability", "--budget", "2", "--eps-list", "0.5"], "eps0=0.392699"),
+            (["pack", "--eps-list", "0.5"], "eps0=0.392699"),
+            (["instability", "--m", "2", "--eps-list", "0.12"], "eps0=0.097668"),
+        ],
+        ids=["instability", "pack", "instability_m2"],
+    )
+    def test_eps_not_below_eps0_is_a_one_line_config_error(self, argv, eps0, tmp_path,
+                                                            monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the work began before eps was checked against eps0")
+
+        monkeypatch.chdir(tmp_path)
+        for module, name in ((engine, "_make_forward"), (engine, "build_packing"),
+                             (packing, "build_packing")):
+            monkeypatch.setattr(module, name, never)
+        code = cli.main(["--out", "out", *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: eps_list: ") and err.count("\n") == 1
+        assert eps0 in err
+
 
 def test_import_loads_no_scipy():
     # special.py is not a scipy facade: importing scipy.special raises the
@@ -372,7 +396,7 @@ def test_import_loads_no_scipy():
 
 def test_runs_load_no_numpy_random(tmp_path):
     # the patterns come from packing.random_bits: numpy.random would add
-    # 5.6 MB of resident memory to every run
+    # 5.6 MB of resident memory to every run, numpy.polynomial 0.9 MB
     code = (
         "import sys\n"
         "from expinstab import cli\n"
@@ -381,7 +405,8 @@ def test_runs_load_no_numpy_random(tmp_path):
         "                 '--quad-nodes', '64', '--out', out + '/run']) == 0\n"
         "assert cli.main(['pack', '--eps-list', '0.1', '--samples', '4', '--grid-size', '256',\n"
         "                 '--out', out + '/pack']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'polynomial'])))\n"
     )
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH="src")

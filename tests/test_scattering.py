@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from expinstab.scattering import (
     farfield_numeric,
     hankel_bound_check,
     _basis_traces,
-    _distances,
     _kernel_matrices,
     _log_weights,
     _quadrature_tables,
@@ -187,6 +187,33 @@ class TestNumericFarField:
             assert level <= 2.0 * max(np.abs(sol.scattered_at(
                 2.0 * np.column_stack([np.cos(angles), np.sin(angles)]), 0)).max() * math.sqrt(2.0), 1e-12)
 
+    @pytest.mark.parametrize("a", [1.0, 4.0])
+    @pytest.mark.parametrize("radius", [0.7, 1.0])
+    def test_scattered_field_matches_disk_series(self, radius, a):
+        # u^s = sum_n i^n c_n H_n(k rho) e^{i n (theta - omega)} with c_{-n} = c_n;
+        # at rho = 8 and k = 2 the kernel's Bessel functions take the asymptotic branch
+        k = math.sqrt(a)
+        sol = solve_scattering(obstacle(np.zeros(256), r=radius), a, 64, 16)
+        c = disk_mode_coefficients(radius, a, 30)
+        n = np.arange(1, 31)
+        theta = 2 * np.pi * np.arange(24) / 24
+        for index in (0, 5):
+            phase = np.cos(np.outer(theta - sol.directions[index], n))
+            for rho in (1.5, 3.0, 8.0):
+                h = sp.hankel1(np.arange(31), k * rho)
+                exact = c[0] * h[0] + 2.0 * (phase * (1j**n * c[1:] * h[1:])).sum(axis=1)
+                got = sol.scattered_at(rho * np.column_stack([np.cos(theta), np.sin(theta)]), index)
+                assert np.abs(got - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+def plain_geometry(nodes):
+    """|x_i - y_j| and nu(y_j).(x_i - y_j) at [i, j] from plain numpy
+    expressions, in shapes.pair_geometry's order of operations."""
+    dx = nodes.points[:, None, 0] - nodes.points[None, :, 0]
+    dy = nodes.points[:, None, 1] - nodes.points[None, :, 1]
+    nu_dot = nodes.normals[None, :, 0] * dx + nodes.normals[None, :, 1] * dy
+    return np.sqrt(dx * dx + dy * dy), nu_dot
+
 
 def full_grid_kernel(nodes, k):
     """The combined-field kernel (coupling eta = k) as first written: Bessel
@@ -195,7 +222,7 @@ def full_grid_kernel(nodes, k):
     eta = k
     n = nodes.jac.size
     t = 2.0 * np.pi * np.arange(n) / n
-    r, nu_dot = _distances(nodes.points, nodes)
+    r, nu_dot = plain_geometry(nodes)
     np.fill_diagonal(r, 1.0)
     j0, j1, y0, y1 = special.jy01_kernel(k * r)
     jac_row = nodes.jac[None, :]
@@ -238,9 +265,9 @@ class TestKernelBitIdentity:
         kernel = _kernel_matrices(nodes, k)
         assert kernel.flags.f_contiguous  # LAPACK factors it without a transposing copy
         assert np.array_equal(kernel, full_grid_kernel(nodes, k))
-        r, _ = _distances(nodes.points, nodes)
+        r, _ = plain_geometry(nodes)
         np.fill_diagonal(r, 1.0)
-        mirrored = _symmetric_jy01(k * r)
+        mirrored = _symmetric_jy01(k * r, out=np.empty((4, 64, 64)))
         for ours, full in zip(mirrored, special.jy01_kernel(k * r)):
             assert np.array_equal(ours, full)
 

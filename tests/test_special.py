@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expinstab import shapes, special
-from expinstab.scattering import _distances
 from expinstab.shapes import RadialProfile
 
 FIRST_J0_ZERO = 2.404825557695773
@@ -139,7 +138,10 @@ def farfield_arguments(a):
     values = 0.05 * (1 + np.cos(3 * theta)) + 0.04 * (1 + np.sin(7 * theta + 0.4))
     profile = RadialProfile(values, base_radius=1.0)
     nodes = shapes.boundary_nodes(profile, 192)
-    r, _ = _distances(nodes.points, nodes)
+    # |x_i - x_j| in the solver's order of operations (shapes.pair_geometry)
+    dx = nodes.points[:, None, 0] - nodes.points[None, :, 0]
+    dy = nodes.points[:, None, 1] - nodes.points[None, :, 1]
+    r = np.sqrt(dx * dx + dy * dy)
     return math.sqrt(a) * r[np.triu_indices(192, 1)]
 
 
