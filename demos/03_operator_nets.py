@@ -30,9 +30,9 @@ for delta in (1e-1, 1e-2, 1e-3):
     params = NetParams.for_delta(delta, c2, alpha2, p)
     worst = 0.0
     for _ in range(50):
-        member = random_class_member(rng, c2, alpha2, p, np.arange(65))
-        q = quantize(member, params)
-        worst = max(worst, np.linalg.norm(member.entries - q.entries, 2))
+        member = random_class_member(rng, c2, alpha2, np.arange(65))
+        q = quantize(member, np.arange(65), params)
+        worst = max(worst, np.linalg.norm(member - q, 2))
     print(
         f"  delta = {delta:7.0e}: n_tilde = {params.n_tilde:3d}, "
         f"delta' = {params.delta_prime:.2e}, worst distance = {worst:.2e}"
@@ -47,8 +47,8 @@ print("\npigeonhole bookkeeping (class constants of a deep inclusion, 65 DtN mod
 c2_fit, alpha2_fit, eps0 = 0.36, 1.39, 0.39
 for eps in (1e-1, 1e-3, 1e-5, 1e-6, 1e-7, 1e-9):
     d = delta_of_epsilon(eps, 1.0, p)
-    pack = packing_lower_bound(eps, 1, 1.0, 2, eps0)
+    pack = packing_lower_bound(eps, 1, 2, eps0)
     net = net_size_log_bound(d, c2_fit, alpha2_fit, p, degrees=fourier_degrees(32)).log_bound
-    ok, margin = counting_check(eps, pack, net)
+    ok, margin = counting_check(pack, net)
     verdict = "witness pair guaranteed" if ok else "not yet"
     print(f"  eps = {eps:7.0e}: margin = {margin:10.1f}  ({verdict})")

@@ -16,7 +16,7 @@ from expinstab.shapes import (
 )
 from expinstab.packing import PackingFamily, build_packing, packing_lower_bound
 from expinstab.spectral import BasisSpec, BasisElement, enumerate_basis
-from expinstab.opnet import OperatorMatrix, NetParams, quantize, y_norm
+from expinstab.opnet import NetParams, quantize, y_norm
 from expinstab.engine import InstabilityReport, run_instability, fit_instability_exponent
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "BasisSpec",
     "BasisElement",
     "enumerate_basis",
-    "OperatorMatrix",
     "NetParams",
     "quantize",
     "y_norm",

@@ -331,17 +331,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if needs_out and not cfg.out:
             raise ConfigError(f"{args.command} requires --out")
-        out = Path(cfg.out) if cfg.out else None
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in command(cfg, getattr(args, "shape_file", None)).items():
-            if out is None:
+        # the directory is made only once the tables exist, so an error
+        # raised by the subcommand leaves nothing behind
+        tables = command(cfg, getattr(args, "shape_file", None))
+        if not cfg.out:
+            for header, rows in tables.values():
                 sys.stdout.write(_csv_text(header, rows))
-            else:
-                write_csv(out / name, header, rows)
-        if out is None:
             sys.stdout.write(config_text(cfg))
         else:
+            out = Path(cfg.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, (header, rows) in tables.items():
+                write_csv(out / name, header, rows)
             (out / "config.echo").write_text(config_text(cfg), encoding="utf-8", newline="\n")
     except (ConfigError, OSError, shapes.ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

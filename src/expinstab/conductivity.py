@@ -38,7 +38,6 @@ from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
 MAX_INCLUSION_RADIUS = 0.8  # inclusions stay compactly inside B(0, 4/5)
 CONTRAST_GUARD = 1e-6
 
-DEFAULT_QUAD = 512
 ROW_BLOCK = 32  # kernel rows per block: the 4 work arrays (512 kB at 512 nodes) stay in L2
 
 _workspace = threading.local()  # per-thread arrays reused across solves (see kept_array)
@@ -75,9 +74,9 @@ def checked_inverse(matrix: np.ndarray, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class InclusionProblem:
     shape: Shape
-    contrast: float = 2.0
-    n_max: int = 32
-    quad_nodes: int = DEFAULT_QUAD
+    contrast: float
+    n_max: int
+    quad_nodes: int
 
     def __post_init__(self):
         if self.shape.kind != shapes.RADIAL_SUBGRAPH:

@@ -338,7 +338,7 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
         class_alpha2 = min(class_alpha2, alpha2)
         alpha1 = 1.0 / cfg.m  # (N-1)/m at N = 2
         d_eps = delta_of_epsilon(float(eps), alpha1, 1.0)
-        packing_log = packing_lower_bound(float(eps), cfg.m, cfg.beta, 2, family.eps0)
+        packing_log = packing_lower_bound(float(eps), cfg.m, 2, family.eps0)
         net_log = net_size_log_bound(
             d_eps,
             c2,
@@ -347,7 +347,7 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
             degrees=degrees,
             complex_entries=np.iscomplexobj(stack),
         ).log_bound
-        ok, margin = counting_check(float(eps), packing_log, net_log)
+        ok, margin = counting_check(packing_log, net_log)
         records.append(
             WitnessRecord(
                 eps=float(eps),

@@ -1,14 +1,14 @@
 """Operator matrices in a weighted basis, the Y-norm, quantized delta-nets,
 covering counts, and the epsilon/delta bookkeeping of the instability argument.
 
-A class member is a (truncated) matrix b_kl with attached degrees gamma_k and
-constants (C2, alpha2, p) such that |b_kl| <= C2 * exp(-alpha2 * max(gamma_k,
-gamma_l)) and the degree counting function grows like C2 * (1+n)^p.  The
-constants are inputs: the engine fits them on the sampled forward maps with
-conductivity.fit_envelope.  The quantizer rounds all entries below the degree
-cutoff n_tilde onto the grid delta' * Z intersected with [-C2, C2] and zeroes
-the rest; this is a delta-net in operator norm via the Y-norm comparison
-constant C4.
+A class member is a (truncated) matrix b_kl: a square array with one degree
+gamma_k per row, such that |b_kl| <= C2 * exp(-alpha2 * max(gamma_k, gamma_l)).
+The degree counting function grows like C2 * (1+n)^p.  The class constants
+(C2, alpha2, p) are arguments, never attached to a matrix: the engine fits them
+on the sampled forward maps with conductivity.fit_envelope.  The quantizer
+rounds all entries below the degree cutoff n_tilde onto the grid
+delta' * Z intersected with [-C2, C2] and zeroes the rest; this is a delta-net
+in operator norm via the Y-norm comparison constant C4.
 """
 
 from __future__ import annotations
@@ -19,50 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Finite truncation of a weighted operator matrix with class constants."""
-
-    entries: np.ndarray
-    degrees: np.ndarray
-    c2: float
-    alpha2: float
-    p: float
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries)
-        degrees = np.asarray(self.degrees, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if degrees.shape != (entries.shape[0],):
-            raise ValueError("need one degree per basis element")
-        entries = entries.copy()
-        entries.flags.writeable = False
-        degrees = degrees.copy()
-        degrees.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "degrees", degrees)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def is_complex(self) -> bool:
-        return np.iscomplexobj(self.entries)
-
-    def max_degree_grid(self) -> np.ndarray:
-        return np.maximum.outer(self.degrees, self.degrees)
-
-    def op_norm(self) -> float:
-        """Largest singular value of the truncation."""
-        return float(np.linalg.norm(self.entries, 2))
+def _max_degree_grid(entries: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """max(gamma_k, gamma_l) for a square matrix with one degree per row."""
+    degrees = np.asarray(degrees, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError("entries must be a square matrix")
+    if degrees.shape != (entries.shape[0],):
+        raise ValueError("need one degree per basis element")
+    return np.maximum.outer(degrees, degrees)
 
 
-def y_norm(matrix: OperatorMatrix) -> float:
+def y_norm(entries: np.ndarray, degrees: np.ndarray, p: float) -> float:
     """sup_kl |b_kl| * (2 + max(gamma_k, gamma_l))^(p+1)."""
-    weights = (2.0 + matrix.max_degree_grid()) ** (matrix.p + 1)
-    return float(np.max(np.abs(matrix.entries) * weights))
+    entries = np.asarray(entries)
+    weights = (2.0 + _max_degree_grid(entries, degrees)) ** (p + 1)
+    return float(np.max(np.abs(entries) * weights))
 
 
 # sum_{n>=1} (1+n)^-2 = zeta(2) - 1
@@ -76,10 +47,12 @@ def c4_constant(c2: float) -> float:
     return c2 * math.sqrt(_INVERSE_SQUARE_SUM)
 
 
-def op_norm_bound_check(matrix: OperatorMatrix, tol: float = 1e-12) -> bool:
+def op_norm_bound_check(
+    entries: np.ndarray, degrees: np.ndarray, c2: float, p: float, tol: float = 1e-12
+) -> bool:
     """Operator norm of the truncation is controlled by C4 * Y-norm."""
-    right = c4_constant(matrix.c2) * y_norm(matrix)
-    return matrix.op_norm() <= right + tol * (1.0 + right)
+    right = c4_constant(c2) * y_norm(entries, degrees, p)
+    return float(np.linalg.norm(entries, 2)) <= right + tol * (1.0 + right)
 
 
 def _envelope(t: float, c2: float, alpha2: float, p: float) -> float:
@@ -134,7 +107,7 @@ def _round_to_grid(values: np.ndarray, step: float, bound: float) -> np.ndarray:
     return np.sign(values) * k * step
 
 
-def quantize(matrix: OperatorMatrix, params: NetParams) -> OperatorMatrix:
+def quantize(entries: np.ndarray, degrees: np.ndarray, params: NetParams) -> np.ndarray:
     """Round low-degree entries onto the delta' grid and zero the rest.
 
     For class members this guarantees y_norm(G - quantize(G)) <= delta/(2*C4),
@@ -143,9 +116,10 @@ def quantize(matrix: OperatorMatrix, params: NetParams) -> OperatorMatrix:
     shrinks by sqrt(2) so the modulus error stays within delta', which doubles
     the net-size exponent's constant.
     """
-    entries = matrix.entries
+    entries = np.asarray(entries)
+    keep = _max_degree_grid(entries, degrees) <= params.n_tilde
     bound = params.c2 * (1.0 + 1e-12) + 1e-12
-    if matrix.is_complex:
+    if np.iscomplexobj(entries):
         if np.max(np.abs(entries.real)) > bound or np.max(np.abs(entries.imag)) > bound:
             raise ValueError("entry component outside [-C2, C2]")
         step = params.delta_prime / math.sqrt(2.0)
@@ -156,14 +130,7 @@ def quantize(matrix: OperatorMatrix, params: NetParams) -> OperatorMatrix:
         if np.max(np.abs(entries)) > bound:
             raise ValueError("entry outside [-C2, C2]")
         rounded = _round_to_grid(entries, params.delta_prime, params.c2)
-    keep = matrix.max_degree_grid() <= params.n_tilde
-    return OperatorMatrix(
-        np.where(keep, rounded, 0.0),
-        matrix.degrees,
-        matrix.c2,
-        matrix.alpha2,
-        matrix.p,
-    )
+    return np.where(keep, rounded, 0.0)
 
 
 @dataclass(frozen=True)
@@ -229,14 +196,10 @@ def delta_of_epsilon(eps: float, alpha1: float, p: float, alpha3: float = 1.0) -
     return math.exp(-(eps ** (-alpha1 / (2.0 * p + 1.0 + alpha3))))
 
 
-def counting_check(
-    eps: float, packing_log_count: float, net_log_bound: float
-) -> tuple[bool, float]:
+def counting_check(packing_log_count: float, net_log_bound: float) -> tuple[bool, float]:
     """Pigeonhole bookkeeping: when the packing log-count exceeds the net
     log-bound, a witness pair with distance >= eps and operator distance
     <= 2*delta(eps) exists.  Returns (exceeds, margin)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     margin = packing_log_count - net_log_bound
     return margin > 0.0, margin
 
@@ -245,10 +208,9 @@ def random_class_member(
     rng: np.random.Generator,
     c2: float,
     alpha2: float,
-    p: float,
     degrees: np.ndarray,
     complex_entries: bool = False,
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Draw a matrix uniformly inside the class envelope
     |b_kl| <= C2 * exp(-alpha2 * max(gamma_k, gamma_l))."""
     degrees = np.asarray(degrees, dtype=float)
@@ -257,7 +219,7 @@ def random_class_member(
     entries = rng.uniform(-1.0, 1.0, size=(k, k)) * envelope
     if complex_entries:
         entries = entries + 1j * rng.uniform(-1.0, 1.0, size=(k, k)) * envelope
-    return OperatorMatrix(entries, degrees, c2, alpha2, p)
+    return entries
 
 
 def truncation_size(params: NetParams, minimum: int = 64) -> int:

@@ -319,11 +319,10 @@ def build_packing(cls: ShapeClass, eps: float) -> PackingFamily:
     )
 
 
-def packing_lower_bound(eps: float, m: int, beta: float, N: int, eps0: float) -> float:
+def packing_lower_bound(eps: float, m: int, N: int, eps0: float) -> float:
     """Certified log-cardinality lower bound for an eps-discrete subset:
-    2^-N * eps0^((N-1)/m) * eps^(-(N-1)/m), natural-log scale."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    2^-N * eps0^((N-1)/m) * eps^(-(N-1)/m), natural-log scale.  The class's
+    beta enters only through eps0."""
     if not 0 < eps < eps0:
         raise ValueError(f"need 0 < eps < eps0, got eps={eps}, eps0={eps0}")
     power = (N - 1) / m
@@ -341,7 +340,7 @@ def construction_eps0_prime(cls: ShapeClass, grid: np.ndarray | None = None) -> 
         if eps >= eps0:
             break
         fam = build_packing(cls, float(eps))
-        bound = packing_lower_bound(float(eps), cls.m, cls.beta, 2, eps0)
+        bound = packing_lower_bound(float(eps), cls.m, 2, eps0)
         if fam.certified_log_cardinality >= bound:
             ok_up_to = float(eps)
         else:

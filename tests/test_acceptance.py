@@ -86,9 +86,7 @@ def test_criterion_1_packing():
         eps0_prime = construction_eps0_prime(cls)
         for eps in (0.1, 0.05, 0.02):
             family = build_packing(cls, eps)
-            assert family.certified_log_cardinality >= packing_lower_bound(
-                eps, m, 1.0, 2, eps0
-            )
+            assert family.certified_log_cardinality >= packing_lower_bound(eps, m, 2, eps0)
             assert eps < eps0_prime
             patterns = family.sample_patterns(1000 + m, 21)
             built = [family.shape(p) for p in patterns]
@@ -115,10 +113,10 @@ def test_criterion_2_net_covering():
     degrees = np.arange(size)
     worst = 0.0
     for _ in range(500):
-        member = random_class_member(rng, c2, alpha2, p, degrees)
+        member = random_class_member(rng, c2, alpha2, degrees)
         for d in deltas:
-            q = quantize(member, params[d])
-            dist = float(np.linalg.norm(member.entries - q.entries, 2))
+            q = quantize(member, degrees, params[d])
+            dist = float(np.linalg.norm(member - q, 2))
             worst = max(worst, dist / d)
             assert dist <= d / 2
     # (-log delta)^(2p+1) growth of the counted net size; the asymptotic
@@ -146,8 +144,8 @@ def test_criterion_3_norm_comparison():
     from expinstab.opnet import y_norm
 
     for _ in range(1000):
-        member = random_class_member(rng, c2, alpha2, p, degrees)
-        ratio = member.op_norm() / (c4 * y_norm(member))
+        member = random_class_member(rng, c2, alpha2, degrees)
+        ratio = float(np.linalg.norm(member, 2)) / (c4 * y_norm(member, degrees, p))
         worst = max(worst, ratio)
         assert ratio <= 1.0 + 1e-12
     report(f"criterion 3 PASS: worst ||G||/(C4 ||G||_Y) = {worst:.4f}")
@@ -361,11 +359,11 @@ def test_criterion_9_counting_check_margin(dtn_report):
 
     def counting_ok(eps):
         d_eps = delta_of_epsilon(eps, 1.0 / dtn_report.m, 1.0)
-        pack = packing_lower_bound(eps, dtn_report.m, dtn_report.beta, 2, dtn_report.eps0)
+        pack = packing_lower_bound(eps, dtn_report.m, 2, dtn_report.eps0)
         net = net_size_log_bound(
             d_eps, dtn_report.class_c2, dtn_report.class_alpha2, 1.0, degrees=degrees
         ).log_bound
-        return counting_check(eps, pack, net)[0]
+        return counting_check(pack, net)[0]
 
     scan = np.geomspace(0.12, 1e-11, 201)
     verdicts = [counting_ok(float(eps)) for eps in scan]

@@ -357,6 +357,7 @@ class TestSubcommands:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert named in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv, eps0",
@@ -381,6 +382,7 @@ class TestSubcommands:
         assert code == 2
         assert err.startswith("config error: eps_list: ") and err.count("\n") == 1
         assert eps0 in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_import_loads_no_scipy():

@@ -5,7 +5,6 @@ import pytest
 
 from expinstab.opnet import (
     NetParams,
-    OperatorMatrix,
     c3_report,
     c4_constant,
     c5_report,
@@ -24,24 +23,22 @@ from expinstab.packing import packing_lower_bound
 C2, ALPHA2, P = 1.0, 0.5, 1.0
 
 
-def member(rng, size=65, c2=C2, alpha2=ALPHA2, p=P, complex_entries=False):
-    return random_class_member(rng, c2, alpha2, p, np.arange(size), complex_entries)
+def member(rng, size=65, c2=C2, alpha2=ALPHA2, complex_entries=False):
+    return random_class_member(rng, c2, alpha2, np.arange(size), complex_entries)
 
 
 class TestYNorm:
     def test_zero_matrix(self):
-        m = OperatorMatrix(np.zeros((3, 3)), np.arange(3), C2, ALPHA2, P)
-        assert y_norm(m) == 0.0
+        assert y_norm(np.zeros((3, 3)), np.arange(3), P) == 0.0
 
     def test_single_entry_degree_zero(self):
-        m = OperatorMatrix(np.array([[1.0]]), np.array([0.0]), C2, ALPHA2, P)
-        assert y_norm(m) == 4.0  # (2+0)^2
+        assert y_norm(np.array([[1.0]]), np.array([0.0]), P) == 4.0  # (2+0)^2
 
     def test_dominates_weighted_entries_pointwise(self):
         rng = np.random.default_rng(9)
-        m = member(rng, size=40)
-        weights = (2.0 + np.maximum.outer(m.degrees, m.degrees)) ** (P + 1)
-        assert (np.abs(m.entries) <= y_norm(m) / weights + 1e-15).all()
+        m, deg = member(rng, size=40), np.arange(40)
+        weights = (2.0 + np.maximum.outer(deg, deg)) ** (P + 1)
+        assert (np.abs(m) <= y_norm(m, deg, P) / weights + 1e-15).all()
 
     def test_class_member_below_envelope_sup(self):
         rng = np.random.default_rng(0)
@@ -49,7 +46,19 @@ class TestYNorm:
             C2 * math.exp(-ALPHA2 * (n - 1)) * (2 + n) ** (P + 1) for n in range(200)
         )
         for _ in range(20):
-            assert y_norm(member(rng)) <= sup
+            assert y_norm(member(rng), np.arange(65), P) <= sup
+
+    @pytest.mark.parametrize(
+        "entries, degrees",
+        [(np.zeros((2, 3)), np.arange(2)), (np.ones((1, 1)), np.arange(3))],
+        ids=["non-square", "one-by-one-three-degrees"],
+    )
+    def test_rejects_mismatched_shapes(self, entries, degrees):
+        params = NetParams.for_delta(1e-2, C2, ALPHA2, P)
+        with pytest.raises(ValueError):
+            y_norm(entries, degrees, P)
+        with pytest.raises(ValueError):
+            quantize(entries, degrees, params)
 
 
 class TestC4:
@@ -70,8 +79,8 @@ class TestC4:
 
 class TestOpNormBound:
     def test_zero_matrix_equality(self):
-        m = OperatorMatrix(np.zeros((4, 4)), np.arange(4), C2, ALPHA2, P)
-        assert m.op_norm() == 0.0 and op_norm_bound_check(m)
+        m = np.zeros((4, 4))
+        assert np.linalg.norm(m, 2) == 0.0 and op_norm_bound_check(m, np.arange(4), C2, P)
 
     def test_rank_one_random(self):
         rng = np.random.default_rng(1)
@@ -79,18 +88,17 @@ class TestOpNormBound:
         env = C2 * np.exp(-ALPHA2 * np.maximum.outer(deg, deg))
         u = rng.uniform(-1, 1, 40)
         entries = np.outer(u, u) * env
-        assert op_norm_bound_check(OperatorMatrix(entries, deg, C2, ALPHA2, P))
+        assert op_norm_bound_check(entries, deg, C2, P)
 
     def test_diagonal_envelope_has_slack(self):
         deg = np.arange(50)
         entries = np.diag(C2 * np.exp(-ALPHA2 * deg))
-        m = OperatorMatrix(entries, deg, C2, ALPHA2, P)
-        assert m.op_norm() < c4_constant(C2) * y_norm(m)
+        assert np.linalg.norm(entries, 2) < c4_constant(C2) * y_norm(entries, deg, P)
 
     def test_comparison_on_many_members(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            assert op_norm_bound_check(member(rng, size=48))
+            assert op_norm_bound_check(member(rng, size=48), np.arange(48), C2, P)
 
 
 class TestNTilde:
@@ -130,16 +138,15 @@ class TestNTilde:
 class TestQuantize:
     def test_zero_matrix_fixed(self):
         params = NetParams.for_delta(1e-2, C2, ALPHA2, P)
-        m = OperatorMatrix(np.zeros((8, 8)), np.arange(8), C2, ALPHA2, P)
-        assert not quantize(m, params).entries.any()
+        assert not quantize(np.zeros((8, 8)), np.arange(8), params).any()
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         params = NetParams.for_delta(1e-2, C2, ALPHA2, P)
         m = member(rng)
-        q1 = quantize(m, params)
-        q2 = quantize(q1, params)
-        np.testing.assert_array_equal(q1.entries, q2.entries)
+        q1 = quantize(m, np.arange(65), params)
+        q2 = quantize(q1, np.arange(65), params)
+        np.testing.assert_array_equal(q1, q2)
 
     @pytest.mark.parametrize("delta", [1e-1, 1e-2, 1e-3])
     def test_covering_real(self, delta):
@@ -148,8 +155,8 @@ class TestQuantize:
         size = truncation_size(params) + 1
         for _ in range(50):
             m = member(rng, size=size)
-            q = quantize(m, params)
-            assert np.linalg.norm(m.entries - q.entries, 2) <= delta / 2
+            q = quantize(m, np.arange(size), params)
+            assert np.linalg.norm(m - q, 2) <= delta / 2
 
     def test_covering_complex(self):
         rng = np.random.default_rng(5)
@@ -158,16 +165,15 @@ class TestQuantize:
         size = truncation_size(params) + 1
         for _ in range(20):
             m = member(rng, size=size, complex_entries=True)
-            q = quantize(m, params)
-            assert np.linalg.norm(m.entries - q.entries, 2) <= delta / 2
+            q = quantize(m, np.arange(size), params)
+            assert np.linalg.norm(m - q, 2) <= delta / 2
 
     def test_rejects_out_of_box(self):
         params = NetParams.for_delta(1e-2, C2, ALPHA2, P)
         entries = np.zeros((4, 4))
         entries[0, 0] = C2 * 1.5
-        m = OperatorMatrix(entries, np.arange(4), C2, ALPHA2, P)
         with pytest.raises(ValueError):
-            quantize(m, params)
+            quantize(entries, np.arange(4), params)
 
 
 class TestNetSize:
@@ -189,10 +195,8 @@ class TestNetSize:
         params = NetParams.for_delta(delta, C2, ALPHA2, P)
         sweep = np.linspace(-C2, C2, 10_000).reshape(100, 100)
         degrees = np.zeros(100)
-        real = quantize(OperatorMatrix(sweep, degrees, C2, ALPHA2, P), params).entries
-        cplx = quantize(
-            OperatorMatrix(sweep - 1j * sweep, degrees, C2, ALPHA2, P), params
-        ).entries
+        real = quantize(sweep, degrees, params)
+        cplx = quantize(sweep - 1j * sweep, degrees, params)
         real_values = np.unique(real).size
         component_values = np.unique(cplx.real).size
         assert np.unique(cplx.imag).size == component_values > real_values
@@ -241,8 +245,8 @@ class TestCountingCheck:
     def margin(self, eps, alpha3=1.0):
         d = delta_of_epsilon(eps, 1.0, 1.0, alpha3=alpha3)
         net = net_size_log_bound(d, self.C2_FIT, self.ALPHA2_FIT, 1.0).log_bound
-        pack = packing_lower_bound(eps, 1, 1.0, 2, self.EPS0)
-        return counting_check(eps, pack, net)
+        pack = packing_lower_bound(eps, 1, 2, self.EPS0)
+        return counting_check(pack, net)
 
     def test_small_eps_true(self):
         ok, margin = self.margin(1e-6)
@@ -265,8 +269,8 @@ class TestCountingCheck:
         net2 = net_size_log_bound(d2, self.C2_FIT, self.ALPHA2_FIT, 1.0).log_bound
         pack1 = 0.25 * self.EPS0 * eps**-1.0
         pack2 = 0.25 * self.EPS0 * eps**-2.0
-        _, m1 = counting_check(eps, pack1, net1)
-        _, m2 = counting_check(eps, pack2, net2)
+        _, m1 = counting_check(pack1, net1)
+        _, m2 = counting_check(pack2, net2)
         assert m2 > m1
 
     def test_remark_exponent_alpha3(self):

@@ -174,18 +174,20 @@ class TestNumericFarField:
         assert violations.sum() == 0
 
     def test_scattered_field_uniform_decay(self):
-        # rho^(1/2) |u^s| stays uniformly bounded on rho in [2, 8]
-        rng = np.random.default_rng(2)
-        sol = solve_scattering(smooth_obstacle(rng), 1.0, 192, 8)
+        # u^s(rho xhat) = e^{ik rho} rho^(-1/2) A(xhat) + O(rho^(-3/2)), uniformly
+        # in xhat: the relative error of the far-field term halves as rho doubles
         angles = 2 * np.pi * np.arange(24) / 24
-        reference = None
-        for rho in (2.0, 3.0, 5.0, 8.0):
-            pts = rho * np.column_stack([np.cos(angles), np.sin(angles)])
-            vals = np.abs(sol.scattered_at(pts, 0)) * math.sqrt(rho)
-            level = vals.max()
-            reference = level if reference is None else max(reference, 0.0)
-            assert level <= 2.0 * max(np.abs(sol.scattered_at(
-                2.0 * np.column_stack([np.cos(angles), np.sin(angles)]), 0)).max() * math.sqrt(2.0), 1e-12)
+        for a in (1.0, 4.0):
+            sol = solve_scattering(smooth_obstacle(np.random.default_rng(2)), a, 192, 8)
+            far = sol.far_field_grid(angles)[:, 0]
+            errors = []
+            for rho in (4.0, 8.0, 16.0, 32.0):
+                pts = rho * np.column_stack([np.cos(angles), np.sin(angles)])
+                scaled = math.sqrt(rho) * np.exp(-1j * sol.k * rho) * sol.scattered_at(pts, 0)
+                errors.append(np.abs(scaled - far).max() / np.abs(far).max())
+                assert errors[-1] <= 1.2 / rho, (a, rho)
+            for error, halved in zip(errors, errors[1:]):
+                assert 1.8 <= error / halved <= 2.2, (a, errors)
 
     @pytest.mark.parametrize("a", [1.0, 4.0])
     @pytest.mark.parametrize("radius", [0.7, 1.0])
