@@ -17,7 +17,7 @@ print(f"construction threshold eps0 = {eps0:.4f}\n")
 
 for eps in (0.1, 0.05, 0.02, 0.01):
     family = build_packing(cls, eps)
-    bound = packing_lower_bound(eps, cls.m, 2, eps0)
+    bound = packing_lower_bound(eps, cls.m, eps0)
     print(
         f"eps = {eps:5.3f}: {family.cell_count:3d} cells, "
         f"log #family = {family.certified_log_cardinality:7.2f} "

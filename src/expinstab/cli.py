@@ -36,7 +36,7 @@ from expinstab.conductivity import (
     weighted_delta,
 )
 from expinstab.engine import ConfigError, ExperimentConfig, WitnessRecord, run_instability
-from expinstab.opnet import NetParams, net_size_log_bound
+from expinstab.opnet import n_tilde, net_size_log_bound
 from expinstab.scattering import ObstacleProblem, farfield_numeric
 from expinstab.shapes import load_shape
 
@@ -199,21 +199,11 @@ def _cmd_basis(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
 def _cmd_net(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     rows = []
     for delta in cfg.delta:
-        params = NetParams.for_delta(delta, cfg.c2, cfg.alpha2, cfg.p)
         # every basis element of degree <= n_tilde on the domain, counted exactly
-        basis = spectral.enumerate_basis(spectral.BasisSpec(cfg.domain, n_max=params.n_tilde))
-        degrees = np.array([e.degree for e in basis])
-        bound = net_size_log_bound(delta, cfg.c2, cfg.alpha2, cfg.p, degrees=degrees)
-        rows.append(
-            (
-                delta,
-                params.n_tilde,
-                params.delta_prime,
-                bound.psi_count,
-                bound.pair_count,
-                bound.log_bound,
-            )
-        )
+        spec = spectral.BasisSpec(cfg.domain, n_max=n_tilde(delta, cfg.c2, cfg.alpha2))
+        degrees = np.array([e.degree for e in spectral.enumerate_basis(spec)])
+        b = net_size_log_bound(delta, cfg.c2, cfg.alpha2, degrees=degrees)
+        rows.append((delta, b.n_tilde, b.delta_prime, b.psi_count, b.pair_count, b.log_bound))
     header = ["delta", "n_tilde", "delta_prime", "psi_count", "pair_count", "log_bound"]
     return {"net.csv": (header, rows)}
 
@@ -294,13 +284,20 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse error (an unknown flag, say) is a one-line config error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One flag per config key, accepted before and after the subcommand; a
     flag given after the subcommand wins."""
     settings = argparse.ArgumentParser(add_help=False)
     for f in fields(ExperimentConfig):
         settings.add_argument(_dashed(f.name), dest=f.name, default=argparse.SUPPRESS)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expinstab",
         description="Exponential-instability experiments for 2D elliptic inverse problems",
         parents=[settings],
@@ -316,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         settings = _read_settings(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
         for key in KEYS:
             if hasattr(args, key):

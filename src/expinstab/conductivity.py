@@ -294,11 +294,15 @@ def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 def diagonal_decay_fit(entries: np.ndarray, degrees: np.ndarray) -> tuple[float, float, float]:
     """Log-linear fit of the per-degree maxima of the diagonal of entries,
-    whose rows have the given degrees: returns (alpha_hat, c_hat, r_squared)."""
+    whose rows have the given degrees: returns (alpha_hat, c_hat, r_squared),
+    all nan when fewer than two degree levels are nonzero (at contrast 1 the
+    weighted difference vanishes)."""
     positive = degrees > 0
     # zero off-diagonal entries raise no shell maximum
     levels, maxima = _shell_maxima(np.diag(np.diag(entries)[positive]), degrees[positive])
     keep = maxima > 1e-300
+    if keep.sum() < 2:
+        return math.nan, math.nan, math.nan
     slope, intercept, r2 = line_fit(levels[keep], np.array([math.log(m) for m in maxima[keep]]))
     return -slope, math.exp(intercept), r2
 

@@ -107,10 +107,12 @@ _RULES = {
     "electrodes": (lambda v: v >= 2, "need at least two electrodes"),
     "electrode_coverage": (lambda v: 0 < v < 1, "coverage must lie in (0, 1)"),
     "electrode_z": (lambda v: v > 0, "impedance must be positive"),
-    "delta": (lambda v: all(0 < d < 1 / math.e for d in v), "delta values must lie in (0, 1/e)"),
+    "delta": (
+        lambda v: v and all(0 < d < 1 / math.e for d in v),
+        "delta values must lie in (0, 1/e)",
+    ),
     "c2": (lambda v: v > 0, "class constant must be positive"),
     "alpha2": (lambda v: v > 0, "class constant must be positive"),
-    "p": (lambda v: v > 0, "class constant must be positive"),
     "domain": (lambda v: v in spectral.DOMAIN_KINDS, f"must be one of {spectral.DOMAIN_KINDS}"),
     "r0": (lambda v: 0 < v < 1, "r0 must lie in (0, 1)"),
 }
@@ -149,7 +151,6 @@ class ExperimentConfig:
     delta: tuple[float, ...] = (0.01,)
     c2: float = 1.0
     alpha2: float = 0.5
-    p: float = 1.0
     domain: str = spectral.FULL_CIRCLE
     r0: float = 0.8
     out: str = ""
@@ -337,15 +338,10 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
         fits.extend(eps_fits)
         class_alpha2 = min(class_alpha2, alpha2)
         alpha1 = 1.0 / cfg.m  # (N-1)/m at N = 2
-        d_eps = delta_of_epsilon(float(eps), alpha1, 1.0)
-        packing_log = packing_lower_bound(float(eps), cfg.m, 2, family.eps0)
+        d_eps = delta_of_epsilon(float(eps), alpha1)
+        packing_log = packing_lower_bound(float(eps), cfg.m, family.eps0)
         net_log = net_size_log_bound(
-            d_eps,
-            c2,
-            alpha2,
-            1.0,
-            degrees=degrees,
-            complex_entries=np.iscomplexobj(stack),
+            d_eps, c2, alpha2, degrees=degrees, complex_entries=np.iscomplexobj(stack)
         ).log_bound
         ok, margin = counting_check(packing_log, net_log)
         records.append(

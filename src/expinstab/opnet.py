@@ -3,12 +3,14 @@ covering counts, and the epsilon/delta bookkeeping of the instability argument.
 
 A class member is a (truncated) matrix b_kl: a square array with one degree
 gamma_k per row, such that |b_kl| <= C2 * exp(-alpha2 * max(gamma_k, gamma_l)).
-The degree counting function grows like C2 * (1+n)^p.  The class constants
-(C2, alpha2, p) are arguments, never attached to a matrix: the engine fits them
-on the sampled forward maps with conductivity.fit_envelope.  The quantizer
-rounds all entries below the degree cutoff n_tilde onto the grid
-delta' * Z intersected with [-C2, C2] and zeroes the rest; this is a delta-net
-in operator norm via the Y-norm comparison constant C4.
+The degree counting function grows like C2 * (1+n)^p, and p = 1 throughout:
+every basis the code enumerates lives in the plane (N = 2, p = N - 1) and has
+at most 2(1+n) elements of degree <= n.  The class constants (C2, alpha2) are
+arguments, never attached to a matrix: the engine fits them on the sampled
+forward maps with conductivity.fit_envelope.  The quantizer rounds all
+entries below the degree cutoff n_tilde onto the grid delta' * Z intersected
+with [-C2, C2] and zeroes the rest; this is a delta-net in operator norm via
+the Y-norm comparison constant C4.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ def _max_degree_grid(entries: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     return np.maximum.outer(degrees, degrees)
 
 
-def y_norm(entries: np.ndarray, degrees: np.ndarray, p: float) -> float:
-    """sup_kl |b_kl| * (2 + max(gamma_k, gamma_l))^(p+1)."""
+def y_norm(entries: np.ndarray, degrees: np.ndarray) -> float:
+    """sup_kl |b_kl| * (2 + max(gamma_k, gamma_l))^(p+1), p = 1."""
     entries = np.asarray(entries)
-    weights = (2.0 + _max_degree_grid(entries, degrees)) ** (p + 1)
+    weights = (2.0 + _max_degree_grid(entries, degrees)) ** 2.0
     return float(np.max(np.abs(entries) * weights))
 
 
@@ -47,57 +49,45 @@ def c4_constant(c2: float) -> float:
     return c2 * math.sqrt(_INVERSE_SQUARE_SUM)
 
 
-def op_norm_bound_check(
-    entries: np.ndarray, degrees: np.ndarray, c2: float, p: float, tol: float = 1e-12
-) -> bool:
+def op_norm_bound_check(entries: np.ndarray, degrees: np.ndarray, c2: float) -> bool:
     """Operator norm of the truncation is controlled by C4 * Y-norm."""
-    right = c4_constant(c2) * y_norm(entries, degrees, p)
-    return float(np.linalg.norm(entries, 2)) <= right + tol * (1.0 + right)
+    right = c4_constant(c2) * y_norm(entries, degrees)
+    return float(np.linalg.norm(entries, 2)) <= right + 1e-12 * (1.0 + right)
 
 
-def _envelope(t: float, c2: float, alpha2: float, p: float) -> float:
-    return c2 * math.exp(-alpha2 * (t - 1.0)) * (2.0 + t) ** (p + 1.0)
+def _envelope(t: float, c2: float, alpha2: float) -> float:
+    return c2 * math.exp(-alpha2 * (t - 1.0)) * (2.0 + t) ** 2.0
 
 
-def n_tilde(delta: float, c2: float, alpha2: float, p: float) -> int:
+def n_tilde(delta: float, c2: float, alpha2: float) -> int:
     """Smallest positive integer n with envelope(t) <= delta/(2*C4) for all
-    real t >= n.  The envelope has a single maximum at t* = (p+1)/alpha2 - 2,
+    real t >= n.  The envelope has a single maximum at t* = 2/alpha2 - 2,
     so sup_{t>=n} envelope = envelope(max(n, t*))."""
     if not 0.0 < delta < 1.0 / math.e:
         raise ValueError("delta must lie in (0, 1/e)")
     threshold = delta / (2.0 * c4_constant(c2))
-    t_star = (p + 1.0) / alpha2 - 2.0
+    t_star = 2.0 / alpha2 - 2.0
     n = 1
-    while _envelope(max(float(n), t_star), c2, alpha2, p) > threshold:
+    while _envelope(max(float(n), t_star), c2, alpha2) > threshold:
         n += 1
         if n > 10_000_000:
             raise RuntimeError("n_tilde scan failed to terminate")
     return n
 
 
-def c5_report(delta: float, c2: float, alpha2: float, p: float) -> float:
-    """Reported constant with n_tilde <= C5 * log(1/delta)."""
-    return n_tilde(delta, c2, alpha2, p) / math.log(1.0 / delta)
-
-
 @dataclass(frozen=True)
 class NetParams:
     """Quantization parameters for one target radius delta."""
 
-    delta: float
     c2: float
-    alpha2: float
-    p: float
     n_tilde: int
     delta_prime: float
-    c4: float
 
     @classmethod
-    def for_delta(cls, delta: float, c2: float, alpha2: float, p: float) -> "NetParams":
-        c4 = c4_constant(c2)
-        nt = n_tilde(delta, c2, alpha2, p)
-        d_prime = (2.0 + nt) ** (-(p + 1.0)) * delta / (2.0 * c4)
-        return cls(delta, c2, alpha2, p, nt, d_prime, c4)
+    def for_delta(cls, delta: float, c2: float, alpha2: float) -> "NetParams":
+        nt = n_tilde(delta, c2, alpha2)
+        d_prime = (2.0 + nt) ** -2.0 * delta / (2.0 * c4_constant(c2))
+        return cls(c2, nt, d_prime)
 
 
 def _round_to_grid(values: np.ndarray, step: float, bound: float) -> np.ndarray:
@@ -137,7 +127,6 @@ def quantize(entries: np.ndarray, degrees: np.ndarray, params: NetParams) -> np.
 class NetSizeBound:
     """Counted size of the quantized net at one delta."""
 
-    delta: float
     n_tilde: int
     delta_prime: float
     psi_count: int
@@ -149,7 +138,6 @@ def net_size_log_bound(
     delta: float,
     c2: float,
     alpha2: float,
-    p: float,
     degrees: np.ndarray | None = None,
     complex_entries: bool = False,
 ) -> NetSizeBound:
@@ -157,23 +145,22 @@ def net_size_log_bound(
 
     s counts pairs (k, l) with max degree <= n_tilde: exactly when a degree
     sequence is supplied, otherwise through the class growth bound
-    C2^2 * (1 + n_tilde)^(2p), which holds only if C2 also bounds the degree
-    counting function.  #Psi_delta counts the grid values of one entry as
-    quantize sets them: 2*floor(C2/delta') + 1 for a real entry, and the
-    square of that count at the component step delta'/sqrt(2) for a complex
-    one.
+    C2^2 * (1 + n_tilde)^(2p) at p = 1, which holds only if C2 also bounds
+    the degree counting function.  #Psi_delta counts the grid values of one
+    entry as quantize sets them: 2*floor(C2/delta') + 1 for a real entry, and
+    the square of that count at the component step delta'/sqrt(2) for a
+    complex one.
     """
-    params = NetParams.for_delta(delta, c2, alpha2, p)
+    params = NetParams.for_delta(delta, c2, alpha2)
     step = params.delta_prime / math.sqrt(2.0) if complex_entries else params.delta_prime
     component_count = 2 * int(math.floor(c2 / step)) + 1
     psi_count = component_count**2 if complex_entries else component_count
     if degrees is None:
-        pair_count = c2**2 * (1.0 + params.n_tilde) ** (2.0 * p)
+        pair_count = c2**2 * (1.0 + params.n_tilde) ** 2.0
     else:
         below = int(np.sum(np.asarray(degrees, dtype=float) <= params.n_tilde))
         pair_count = float(below**2)
     return NetSizeBound(
-        delta=delta,
         n_tilde=params.n_tilde,
         delta_prime=params.delta_prime,
         psi_count=psi_count,
@@ -182,18 +169,12 @@ def net_size_log_bound(
     )
 
 
-def c3_report(delta: float, c2: float, alpha2: float, p: float) -> float:
-    """Reported constant with counted log net size <= C3 * (-log delta)^(2p+1)."""
-    bound = net_size_log_bound(delta, c2, alpha2, p)
-    return bound.log_bound / (-math.log(delta)) ** (2.0 * p + 1.0)
-
-
-def delta_of_epsilon(eps: float, alpha1: float, p: float, alpha3: float = 1.0) -> float:
+def delta_of_epsilon(eps: float, alpha1: float, alpha3: float = 1.0) -> float:
     """Quantization radius delta(eps) = exp(-eps^(-alpha1/(2p+1+alpha3)));
-    the default alpha3 = 1 gives the exponent alpha1/(2(p+1))."""
+    the default alpha3 = 1 gives the exponent alpha1/(2(p+1)) = alpha1/4."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return math.exp(-(eps ** (-alpha1 / (2.0 * p + 1.0 + alpha3))))
+    return math.exp(-(eps ** (-alpha1 / (3.0 + alpha3))))
 
 
 def counting_check(packing_log_count: float, net_log_bound: float) -> tuple[bool, float]:
@@ -222,6 +203,6 @@ def random_class_member(
     return entries
 
 
-def truncation_size(params: NetParams, minimum: int = 64) -> int:
-    """Degree truncation for computed matrices: max(2*n_tilde, minimum)."""
-    return max(2 * params.n_tilde, minimum)
+def truncation_size(params: NetParams) -> int:
+    """Degree truncation for computed matrices: max(2*n_tilde, 64)."""
+    return max(2 * params.n_tilde, 64)

@@ -319,28 +319,24 @@ def build_packing(cls: ShapeClass, eps: float) -> PackingFamily:
     )
 
 
-def packing_lower_bound(eps: float, m: int, N: int, eps0: float) -> float:
+def packing_lower_bound(eps: float, m: int, eps0: float) -> float:
     """Certified log-cardinality lower bound for an eps-discrete subset:
-    2^-N * eps0^((N-1)/m) * eps^(-(N-1)/m), natural-log scale.  The class's
-    beta enters only through eps0."""
+    2^-N * eps0^((N-1)/m) * eps^(-(N-1)/m) at N = 2 (every shape class is
+    planar), natural-log scale.  The class's beta enters only through eps0."""
     if not 0 < eps < eps0:
         raise ValueError(f"need 0 < eps < eps0, got eps={eps}, eps0={eps0}")
-    power = (N - 1) / m
-    return 2.0 ** (-N) * eps0**power * eps ** (-power)
+    power = 1 / m
+    return 0.25 * eps0**power * eps ** (-power)
 
 
-def construction_eps0_prime(cls: ShapeClass, grid: np.ndarray | None = None) -> float:
+def construction_eps0_prime(cls: ShapeClass) -> float:
     """Largest tested eps below which the built family's certified cardinality
     dominates the packing lower bound on the whole test grid."""
     eps0 = class_eps0(cls)
-    if grid is None:
-        grid = eps0 * np.geomspace(1e-3, 0.999, 60)
     ok_up_to = 0.0
-    for eps in np.sort(grid):
-        if eps >= eps0:
-            break
+    for eps in eps0 * np.geomspace(1e-3, 0.999, 60):
         fam = build_packing(cls, float(eps))
-        bound = packing_lower_bound(float(eps), cls.m, 2, eps0)
+        bound = packing_lower_bound(float(eps), cls.m, eps0)
         if fam.certified_log_cardinality >= bound:
             ok_up_to = float(eps)
         else:

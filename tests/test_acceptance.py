@@ -86,7 +86,7 @@ def test_criterion_1_packing():
         eps0_prime = construction_eps0_prime(cls)
         for eps in (0.1, 0.05, 0.02):
             family = build_packing(cls, eps)
-            assert family.certified_log_cardinality >= packing_lower_bound(eps, m, 2, eps0)
+            assert family.certified_log_cardinality >= packing_lower_bound(eps, m, eps0)
             assert eps < eps0_prime
             patterns = family.sample_patterns(1000 + m, 21)
             built = [family.shape(p) for p in patterns]
@@ -105,10 +105,10 @@ def test_criterion_1_packing():
 
 def test_criterion_2_net_covering():
     start = time.time()
-    c2, alpha2, p = 1.0, 0.5, 1.0
+    c2, alpha2 = 1.0, 0.5
     rng = np.random.default_rng(7)
     deltas = (1e-1, 1e-2, 1e-3)
-    params = {d: NetParams.for_delta(d, c2, alpha2, p) for d in deltas}
+    params = {d: NetParams.for_delta(d, c2, alpha2) for d in deltas}
     size = max(truncation_size(pa) for pa in params.values()) + 1
     degrees = np.arange(size)
     worst = 0.0
@@ -123,7 +123,7 @@ def test_criterion_2_net_covering():
     # regime needs deep deltas (polylog corrections dominate above ~1e-40)
     reg_deltas = [1e-80, 1e-130, 1e-180, 1e-230, 1e-280]
     x = [math.log(-math.log(d)) for d in reg_deltas]
-    y = [math.log(net_size_log_bound(d, c2, alpha2, p).log_bound) for d in reg_deltas]
+    y = [math.log(net_size_log_bound(d, c2, alpha2).log_bound) for d in reg_deltas]
     slope = float(np.polyfit(x, y, 1)[0])
     assert 2.8 <= slope <= 3.2
     elapsed = time.time() - start
@@ -135,7 +135,7 @@ def test_criterion_2_net_covering():
 
 
 def test_criterion_3_norm_comparison():
-    c2, alpha2, p = 1.0, 0.5, 1.0
+    c2, alpha2 = 1.0, 0.5
     c4 = c4_constant(c2)
     assert abs(c4 - c2 * math.sqrt(math.pi**2 / 6 - 1)) <= 1e-6
     rng = np.random.default_rng(11)
@@ -145,7 +145,7 @@ def test_criterion_3_norm_comparison():
 
     for _ in range(1000):
         member = random_class_member(rng, c2, alpha2, degrees)
-        ratio = float(np.linalg.norm(member, 2)) / (c4 * y_norm(member, degrees, p))
+        ratio = float(np.linalg.norm(member, 2)) / (c4 * y_norm(member, degrees))
         worst = max(worst, ratio)
         assert ratio <= 1.0 + 1e-12
     report(f"criterion 3 PASS: worst ||G||/(C4 ||G||_Y) = {worst:.4f}")
@@ -358,10 +358,10 @@ def test_criterion_9_counting_check_margin(dtn_report):
     degrees = fourier_degrees(32)
 
     def counting_ok(eps):
-        d_eps = delta_of_epsilon(eps, 1.0 / dtn_report.m, 1.0)
-        pack = packing_lower_bound(eps, dtn_report.m, 2, dtn_report.eps0)
+        d_eps = delta_of_epsilon(eps, 1.0 / dtn_report.m)
+        pack = packing_lower_bound(eps, dtn_report.m, dtn_report.eps0)
         net = net_size_log_bound(
-            d_eps, dtn_report.class_c2, dtn_report.class_alpha2, 1.0, degrees=degrees
+            d_eps, dtn_report.class_c2, dtn_report.class_alpha2, degrees=degrees
         ).log_bound
         return counting_check(pack, net)[0]
 

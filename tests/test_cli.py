@@ -10,6 +10,68 @@ from expinstab import cli, conductivity, engine, packing, shapes
 from expinstab.cli import ConfigError, ExperimentConfig, config_text, parse_config, write_csv
 from expinstab.shapes import save_shape
 
+# stdout of `net --delta 0.01,0.001,1e-6 --c2 1 --alpha2 0.5 --domain D`: net.csv,
+# then the config echo up to its BLAS comment line
+NET_CSV = {
+    "full_circle": (
+        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
+        "0.01,25,8.5405298916969183e-06,234177,2601,32158.328381040359\n"
+        "0.001,30,6.0801233311006377e-07,3289407,3721,55838.136669468455\n"
+        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,8281,187836.23804586398\n"
+    ),
+    "half_disk_neumann": (
+        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
+        "0.01,25,8.5405298916969183e-06,234177,676,8357.9507826156405\n"
+        "0.001,30,6.0801233311006377e-07,3289407,961,14420.975366664656\n"
+        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,2116,47996.79745260816\n"
+    ),
+    "half_disk_dirichlet": (
+        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
+        "0.01,25,8.5405298916969183e-06,234177,625,7727.3953241638692\n"
+        "0.001,30,6.0801233311006377e-07,3289407,900,13505.596077001239\n"
+        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,2025,45932.662968587676\n"
+    ),
+    "slit_disk_neumann": (
+        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
+        "0.01,25,8.5405298916969183e-06,234177,2601,32158.328381040359\n"
+        "0.001,30,6.0801233311006377e-07,3289407,3721,55838.136669468455\n"
+        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,8281,187836.23804586398\n"
+    ),
+    "slit_disk_dirichlet": (
+        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
+        "0.01,25,8.5405298916969183e-06,234177,2500,30909.581296655477\n"
+        "0.001,30,6.0801233311006377e-07,3289407,3600,54022.384308004956\n"
+        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,8100,183730.6518743507\n"
+    ),
+}
+NET_ECHO = (
+    "problem=dtn\n"
+    "kind=radial_subgraph\n"
+    "m=1\n"
+    "beta=1\n"
+    "eps_list=0.12,0.080000000000000002,0.050000000000000003,0.029999999999999999\n"
+    "a=2\n"
+    "a_list=1,4\n"
+    "n_max=32\n"
+    "quad_nodes=512\n"
+    "scatter_n_max=12\n"
+    "scatter_quad=192\n"
+    "directions=48\n"
+    "budget=200\n"
+    "samples=50\n"
+    "seed=0\n"
+    "base_radius=0.5\n"
+    "grid_size=2048\n"
+    "electrodes=8\n"
+    "electrode_coverage=0.5\n"
+    "electrode_z=0.10000000000000001\n"
+    "delta=0.01,0.001,9.9999999999999995e-07\n"
+    "c2=1\n"
+    "alpha2=0.5\n"
+    "domain={domain}\n"
+    "r0=0.80000000000000004\n"
+)
+
 
 class TestParseConfig:
     def test_empty_gives_defaults(self):
@@ -46,7 +108,7 @@ class TestParseConfig:
             ("n_max=8\nscatter_quad=33\n", "scatter_quad"),
             ("n_max=8\nscatter_n_max=0\n", "scatter_n_max"),
             ("c2=1.0\nalpha2=-1\n", "alpha2"),
-            ("c2=1.0\np=0\n", "p"),
+            ("c2=1.0\ndelta=\n", "delta"),
         ],
     )
     def test_range_error_names_its_own_key(self, text, key):
@@ -98,16 +160,33 @@ class TestCsv:
 
 class TestSubcommands:
     def test_net_stdout(self, capsys):
-        code = cli.main(["net", "--delta", "0.01,0.001", "--c2", "1.0", "--alpha2", "0.5", "--p", "1.0"])
+        code = cli.main(["net", "--delta", "0.01,0.001", "--c2", "1.0", "--alpha2", "0.5"])
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("delta,n_tilde,delta_prime,psi_count,pair_count,log_bound")
 
     def test_net_counts_every_basis_pair(self, capsys):
         # n_tilde 25 and 30: the circle basis has 2*25+1 and 2*30+1 elements
-        assert cli.main(["net", "--delta", "0.01,0.001", "--c2", "1", "--alpha2", "0.5", "--p", "1"]) == 0
+        assert cli.main(["net", "--delta", "0.01,0.001", "--c2", "1", "--alpha2", "0.5"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:3]
         assert [(r.split(",")[1], r.split(",")[4]) for r in rows] == [("25", "2601"), ("30", "3721")]
+
+    @pytest.mark.parametrize("domain", list(NET_CSV))
+    def test_net_stdout_is_pinned(self, domain, capsys):
+        argv = ["net", "--delta", "0.01,0.001,1e-6", "--c2", "1", "--alpha2", "0.5", "--domain", domain]
+        assert cli.main(argv) == 0
+        body, blas = capsys.readouterr().out.split("# blas=")
+        assert body == NET_CSV[domain] + NET_ECHO.format(domain=domain)
+        assert blas.count("\n") == 1 and blas.endswith("\n")
+
+    def test_p_is_not_a_setting(self, tmp_path, capsys):
+        # p = 1 in the plane: the key and its flag are gone
+        config = tmp_path / "p.cfg"
+        config.write_text("p=1\n")
+        for argv in (["net", "--p", "1"], ["--config", str(config), "net"]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_pack_writes_csv(self, tmp_path):
         code = cli.main([
@@ -186,6 +265,18 @@ class TestSubcommands:
         assert (tmp_path / "sc" / "farfield_magnitudes.csv").exists()
         assert (tmp_path / "sc" / "reciprocity.csv").exists()
 
+    def test_forward_at_contrast_one_fits_no_decay(self, tmp_path):
+        # at a = 1 the weighted difference is zero: decay_fit.csv reads nan
+        disk = shapes.Shape(
+            shapes.RADIAL_SUBGRAPH,
+            shapes.RadialProfile(np.zeros(256), base_radius=0.5, amplitude_cap=0.25),
+        )
+        save_shape(disk, tmp_path / "disk.txt")
+        argv = ["--out", str(tmp_path / "fwd"), "forward", "--shape-file", str(tmp_path / "disk.txt")]
+        assert cli.main([*argv, "--a", "1.0"]) == 0
+        rows = (tmp_path / "fwd" / "decay_fit.csv").read_text().splitlines()
+        assert rows == ["name,value", "alpha_hat,nan", "c_hat,nan", "r_squared,nan"]
+
     def test_forward_solves_its_shape_once(self, tmp_path, monkeypatch):
         theta = 2 * np.pi * np.arange(256) / 256
         shape = shapes.Shape(
@@ -255,11 +346,7 @@ class TestSubcommands:
             ["pack", "--seed", "-1", "--samples", "2"],
             ["--out", "old.cfg/d", "net"],  # a file where the directory should go
         ):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # argparse rejects unknown flags itself
-                code = exc.code
-            assert code == 2, argv
+            assert cli.main(argv) == 2, argv
         assert not (tmp_path / "d").exists()
 
     def test_flags_before_and_after_the_subcommand(self, capsys):
@@ -296,7 +383,7 @@ class TestSubcommands:
                 ["basis_degrees.csv", "basis_decay.csv"],
             ),
             (
-                ["net", "--delta", "0.01,0.001", "--c2", "1", "--alpha2", "0.5", "--p", "1"],
+                ["net", "--delta", "0.01,0.001", "--c2", "1", "--alpha2", "0.5"],
                 ["net.csv"],
             ),
             (

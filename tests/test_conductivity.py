@@ -435,6 +435,13 @@ class TestShellMaxima:
         assert c_hat == pytest.approx(math.exp(intercept), rel=1e-12)
         assert r_squared == pytest.approx(r2, rel=1e-12)
 
+    def test_diagonal_decay_fit_needs_two_levels(self):
+        # a zero matrix (contrast 1) or one nonzero level has no decay to fit
+        entries = np.zeros((self.DEGREES.size, self.DEGREES.size))
+        assert all(math.isnan(v) for v in diagonal_decay_fit(entries, self.DEGREES))
+        entries[-1, -1] = 0.5
+        assert all(math.isnan(v) for v in diagonal_decay_fit(entries, self.DEGREES))
+
 
 def arc_basis(theta, n_max):
     """Ordered normalized circle basis [1, cos, sin, ...] at theta, one row each."""

@@ -122,7 +122,6 @@ class TestRunInstability:
             rec.delta_eps,
             report.class_c2,
             report.class_alpha2,
-            1.0,
             degrees=fourier_degrees(cfg.scatter_n_max),
             complex_entries=True,
         )
@@ -201,7 +200,6 @@ class TestCountedNet:
             rec.delta_eps,
             report.class_c2,
             report.class_alpha2,
-            1.0,
             degrees=fourier_degrees(self.CFG.n_max),
         )
         assert rec.net_log_bound == bound.log_bound

@@ -155,20 +155,16 @@ class TestRandomBits:
 
 class TestLowerBound:
     def test_formula_direct_evaluation(self):
-        assert packing_lower_bound(0.25, 1, 2, 1.0) == pytest.approx(1.0)
+        assert packing_lower_bound(0.25, 1, 1.0) == pytest.approx(1.0)
 
     def test_half_eps0(self):
         eps0 = 0.816
-        val = packing_lower_bound(eps0 / 2, 1, 2, eps0)
+        val = packing_lower_bound(eps0 / 2, 1, eps0)
         assert val == pytest.approx(0.5)
-
-    def test_general_n_algebra(self):
-        # 2^-3 * 1 * (1e-4)^(-(3-1)/2) = 1e4 / 8
-        assert packing_lower_bound(1e-4, 2, 3, 1.0) == pytest.approx(1250.0)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            packing_lower_bound(1.5, 1, 2, 1.0)
+            packing_lower_bound(1.5, 1, 1.0)
 
     def test_certified_cardinality_dominates_bound(self):
         eps0p = construction_eps0_prime(RADIAL)
@@ -176,5 +172,5 @@ class TestLowerBound:
         eps0 = class_eps0(RADIAL)
         for eps in np.geomspace(1e-3, eps0p * 0.999, 12):
             fam = build_packing(RADIAL, float(eps))
-            bound = packing_lower_bound(float(eps), RADIAL.m, 2, eps0)
+            bound = packing_lower_bound(float(eps), RADIAL.m, eps0)
             assert fam.certified_log_cardinality >= bound
