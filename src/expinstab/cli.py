@@ -312,8 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(argv: list[str]) -> None:
+    """Reject the first long flag that names no option.  Left to argparse, an
+    unknown flag before the subcommand passes its value on as the subcommand
+    (`--p 1 net` reads as the subcommand '1')."""
+    known = {"--help", "--config", "--shape-file", *map(_dashed, KEYS)}
+    for token in argv:
+        if token == "--":
+            return
+        flag = token.split("=", 1)[0]
+        if flag.startswith("--") and flag not in known:
+            raise ConfigError(f"unrecognized flag {flag}")
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        _check_flags(argv)
         args = build_parser().parse_args(argv)
         settings = _read_settings(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
         for key in KEYS:

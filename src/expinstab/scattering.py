@@ -12,13 +12,15 @@ real until the exp, 1j * (k * x @ d.T): the values equal the complex-GEMM form
 1j * k * x @ d.T, but an OpenBLAS complex GEMM slows the complex exp that
 follows it about 15-fold.  The kernel and scattered_at take |x - y| and
 nu(y).(x - y) from shapes.pair_geometry, as the conductivity kernel does.  The
-kernel build writes every n x n and triangle-sized array, the Bessel series'
-scratch included, into arrays that each thread keeps between solves
-(conductivity.kept_array): with glibc malloc the several MB that a solve used
-to allocate and free went back to the operating system, and the next solve
-faulted them in again (about 1,450 page faults and 3 ms of system time per
-192-node solve).  Far-field coefficients b_kl are projections of the
-far-field pattern on the circle Fourier basis; the closed-form disk series
+kernel build writes every n x n and triangle-sized array into arrays that each
+thread keeps between solves (conductivity.kept_array): with glibc malloc the
+several MB that a solve used to allocate and free went back to the operating
+system, and the next solve faulted them in again (about 1,450 page faults and
+3 ms of system time per 192-node solve).  The Bessel series' scratch is one of
+them: six triangle-sized rows that hold the four results and, while the
+series runs, each chunk of powers of q and of their coefficient-table
+product.  Far-field coefficients b_kl are projections of the far-field
+pattern on the circle Fourier basis; the closed-form disk series
 (Jacobi-Anger) is the accuracy oracle.
 """
 

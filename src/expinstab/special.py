@@ -5,10 +5,18 @@ J_0 + 2*sum_k J_2k = 1; Y_n by forward recurrence seeded with Y_0, Y_1 from
 their power series (x < 13) or the large-argument P/Q asymptotic expansions
 (x >= 13); H_n^(1) = J_n + i*Y_n.  Targets relative accuracy ~1e-10 for
 n <= 80 on x in [0.3, 60] (series branches stay accurate down to x -> 0).
+
+The power series of J0, J1, Y0 and Y1 are one matrix product: a read-only
+4-row table of coefficients times the powers of q = x^2/4, built in
+cache-sized column chunks, with as many powers as the batch's largest
+argument needs.  A value's bits depend on its own argument and that number
+of powers alone, not on its place in the batch.  Against scipy, relative to
+|H_n|, the series is within 1e-14 on x <= 5 and 2e-11 on x < 13.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -17,7 +25,10 @@ EULER_GAMMA = 0.577215664901532860606512090082
 
 _SERIES_SPLIT = 13.0
 _X_MAX = 200.0
-WORK_ROWS = 8  # arrays of the argument's shape that the power series works in
+WORK_ROWS = 6  # arrays of the argument's shape that the power series works in
+_SERIES_TERMS = 60  # powers q^0 .. q^59 at most
+_BLOCK = 1 << 17  # floats of one chunk's powers of q and sums, at most: 1 MB
+_PAD = 32  # a chunk's column count is a multiple of this
 
 
 def _check_x(x: np.ndarray) -> None:
@@ -29,74 +40,93 @@ def _check_x(x: np.ndarray) -> None:
 # order 0 and 1 by series / asymptotics (vectorized workhorses for kernels)
 # ----------------------------------------------------------------------------
 
-def _harmonic_numbers(k_max: int) -> np.ndarray:
-    h = np.zeros(k_max + 1)
-    h[1:] = np.cumsum(1.0 / np.arange(1, k_max + 1))
-    return h
+@functools.cache
+def _series_table() -> np.ndarray:
+    """Read-only 4 x _SERIES_TERMS table of the power-series coefficients in
+    q = x^2/4, each the correctly rounded quotient of two exact integers:
+    J0 = sum (-1)^k q^k/(k!)^2, 2 J1/x = sum (-1)^k q^k/(k!(k+1)!), and the
+    sums s0 = sum_{k>=1} (-1)^(k+1) H_k q^k/(k!)^2 and
+    s1 = sum_k (-1)^k (H_k + H_{k+1}) q^k/(k!(k+1)!) of Y0 and Y1."""
+    table = np.empty((4, _SERIES_TERMS))
+    for k in range(_SERIES_TERMS):
+        f, g = math.factorial(k), math.factorial(k + 1)
+        h = sum(f // j for j in range(1, k + 1))  # k! H_k
+        h_next = sum(g // j for j in range(1, k + 2))  # (k+1)! H_(k+1)
+        sign = (-1) ** k
+        table[:, k] = (sign / f**2, sign / (f * g), -sign * h / f**3,
+                       sign * ((k + 1) * h + h_next) / (f * g * g))
+    table.flags.writeable = False
+    return table
+
+
+def _series_degree(q_max: float) -> int:
+    """Terms the batch needs: through the first k >= 1 whose largest term at
+    q_max, |c_k| q_max^k over the four series, is below 1e-18."""
+    terms = np.abs(_series_table()[:, 1:]).max(axis=0) * q_max ** np.arange(1, _SERIES_TERMS)
+    small = np.flatnonzero(terms < 1e-18)
+    return int(small[0]) + 2 if small.size else _SERIES_TERMS
 
 
 def _jy01_series(x: np.ndarray, work: np.ndarray | None = None):
     """J0, J1, Y0, Y1 from their power series in q = x^2/4.
 
-    The sums share two positive term sequences, t_k = q^k/(k!)^2 and
-    u_k = q^k/(k!(k+1)!), which enter with alternating signs:
-    J0 = sum (-1)^k t_k, J1 = (x/2) sum (-1)^k u_k, and
-    Y0 = (2/pi) [lg*J0 + sum_{k>=1} (-1)^(k+1) H_k t_k],
-    Y1 = (2/pi) lg*J1 - 2/(pi x) - (x/2pi) sum_k (-1)^k (H_k+H_{k+1}) u_k,
-    with lg = ln(x/2) + gamma.  The J pair, the Y0 sum and the Y1 sum each
-    stop after the first iteration whose largest weighted term is below 1e-18.
+    The four sums J0, 2 J1/x, s0 and s1 (see _series_table) are one matrix
+    product: the table's first d columns times the powers 1, q, ..., q^(d-1),
+    with d from the batch's largest q (_series_degree).  The product runs over
+    column chunks of at most _BLOCK floats of powers and sums, and each
+    value's bits depend only on its own argument and on d.  Then, with
+    lg = ln(x/2) + gamma, Y0 = (2/pi) (lg J0 + s0) and
+    Y1 = (2/pi) lg J1 - 2/(pi x) - (x/(2 pi)) s1.
 
-    Every intermediate lives in work, WORK_ROWS arrays of x's shape (made
-    here when not given), and the four results are rows of it.
+    Every intermediate lives in work, WORK_ROWS C-ordered arrays of x's shape
+    (made here when not given), and the four results are rows of it: while
+    the sums fill rows 0-3, rows 4-5 hold the chunk in hand.
     """
     if work is None:
         work = np.empty((WORK_ROWS,) + x.shape)
-    q, t, u, j0, j1, s0, s1, term = work
-    h = _harmonic_numbers(61)
-    np.multiply(0.25, x, out=q)
-    q *= x
-    t.fill(1.0)
-    u.fill(1.0)
-    j0.fill(1.0)
-    j1.fill(1.0)
-    s0.fill(0.0)
-    s1.fill(1.0)  # the k = 0 term (H_0 + H_1) u_0
-    j_open = y0_open = y1_open = True
-    for k in range(1, 60):
-        t *= q
-        t /= k * k
-        u *= q
-        u /= k * (k + 1)
-        t_top, u_top = np.max(t), np.max(u)
-        # adds (-1)^k times a term, and its opposite
-        alternate, opposite = (np.subtract, np.add) if k % 2 else (np.add, np.subtract)
-        if j_open:
-            alternate(j0, t, out=j0)
-            alternate(j1, u, out=j1)
-            j_open = max(t_top, u_top) >= 1e-18
-        if y0_open:
-            opposite(s0, np.multiply(h[k], t, out=term), out=s0)
-            y0_open = t_top * h[k] >= 1e-18
-        if y1_open:
-            weight = h[k] + h[k + 1]
-            alternate(s1, np.multiply(weight, u, out=term), out=s1)
-            y1_open = u_top * weight >= 1e-18
-        if not (j_open or y0_open or y1_open):
-            break
-    # q and the term sequences are spent: lg, Y0 and Y1 take their rows
-    lg, y0, y1 = q, t, u
+    flat = work.reshape(WORK_ROWS, -1)
+    xs = x.reshape(-1)
+    x_max = float(np.max(xs))
+    degree = _series_degree(0.25 * x_max * x_max)
+    table = _series_table()[:, :degree]
+    spare = flat[4:].reshape(-1)
+    width = min(spare.size, _BLOCK) // (4 + degree) // _PAD * _PAD
+    if width == 0:  # too few arguments to hold one padded chunk
+        width = _PAD
+        spare = np.empty((4 + degree) * width)
+    # a chunk's four sums, then its powers, one column per argument
+    block = spare[:(4 + degree) * width].reshape(4 + degree, width)
+    block[4] = 1.0  # q^0, for every chunk
+    for start in range(0, xs.size, width):
+        chunk = xs[start:start + width]
+        # BLAS sums every column of full kernel tiles in one order: pad to them
+        padded = -(-chunk.size // _PAD) * _PAD
+        sums, p = block[:4, :padded], block[4:, :padded]
+        np.multiply(0.25, chunk, out=p[1, :chunk.size])
+        p[1, :chunk.size] *= chunk
+        p[1, chunk.size:] = 0.0
+        filled = 2
+        while filled < degree:  # rows f .. 2f - 1 (f = filled) as q^f q^j, in two products
+            np.multiply(p[filled - 1], p[1], out=p[filled])
+            top = min(2 * filled, degree)
+            np.multiply(p[1:top - filled], p[filled], out=p[filled + 1:top])
+            filled = top
+        np.matmul(table, p, out=sums)
+        flat[:4, start:start + chunk.size] = sums[:, :chunk.size]
+    j0, j1, y0, y1, lg, term = work
+    # j1 holds 2 J1/x, y0 the sum s0 and y1 the sum s1
     j1 *= np.multiply(0.5, x, out=term)
     np.log(term, out=lg)
     lg += EULER_GAMMA
     # Y0 = (2/pi) (lg J0 + s0)
-    np.multiply(lg, j0, out=y0)
-    y0 += s0
+    y0 += np.multiply(lg, j0, out=term)
     y0 *= 2.0 / math.pi
     # Y1 = ((2/pi) lg) J1 - 2/(pi x) - (x/(2 pi)) s1
-    np.multiply(2.0 / math.pi, lg, out=y1)
-    y1 *= j1
-    y1 -= np.divide(2.0, np.multiply(math.pi, x, out=term), out=term)
-    y1 -= np.multiply(np.divide(x, 2.0 * math.pi, out=term), s1, out=term)
+    lg *= 2.0 / math.pi
+    lg *= j1
+    lg -= np.divide(2.0, np.multiply(math.pi, x, out=term), out=term)
+    y1 *= np.divide(x, 2.0 * math.pi, out=term)
+    np.subtract(lg, y1, out=y1)
     return j0, j1, y0, y1
 
 
@@ -219,9 +249,9 @@ def jy01_kernel(x: np.ndarray, *, work: np.ndarray | None = None):
     """Fast vectorized (J0, J1, Y0, Y1) for boundary-integral kernels.
 
     A caller that evaluates one shape of arguments again and again passes
-    work, WORK_ROWS arrays of x's shape that it keeps: when every argument is
-    below 13 the series runs in it and the results are rows of it, so the
-    call allocates no float array of x's size."""
+    work, WORK_ROWS C-ordered arrays of x's shape that it keeps: when every
+    argument is below 13 the series runs in it and the results are rows of
+    it, so the call allocates no float array of x's size."""
     x = np.asarray(x, dtype=float)
     _check_x(x)
     return _jy01(x, work)

@@ -188,6 +188,15 @@ class TestSubcommands:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["--p", "1", "net"], ["--threads", "4", "net"],
+                                      ["--p=1", "net"]])
+    def test_unknown_flag_before_the_subcommand_is_named(self, argv, capsys):
+        # its value must not be taken for the subcommand
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        flag = argv[0].split("=")[0]
+        assert err == f"config error: unrecognized flag {flag}\n"
+
     def test_pack_writes_csv(self, tmp_path):
         code = cli.main([
             "--out", str(tmp_path), "--seed", "5",
