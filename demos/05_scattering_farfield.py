@@ -19,7 +19,7 @@ from expinstab.scattering import (
 
 disk = shapes.Shape(
     shapes.RADIAL_SUBGRAPH,
-    shapes.RadialProfile(np.zeros(2048), base_radius=1.0, amplitude_cap=0.5),
+    shapes.RadialProfile(np.zeros(2048), base_radius=1.0),
 )
 for a in (1.0, 4.0):
     prob = ObstacleProblem(disk, (a,), n_max=12, quad_nodes=192, direction_count=48)
@@ -45,7 +45,7 @@ for j in range(1, 6):
 vals -= vals.min()
 vals *= 0.3 / vals.max()
 bumpy = shapes.Shape(
-    shapes.RADIAL_SUBGRAPH, shapes.RadialProfile(vals, base_radius=1.0, amplitude_cap=0.5)
+    shapes.RADIAL_SUBGRAPH, shapes.RadialProfile(vals, base_radius=1.0)
 )
 prob = ObstacleProblem(bumpy, (1.0, 4.0), n_max=12, quad_nodes=256, direction_count=48)
 fields, _ = farfield_numeric(prob)

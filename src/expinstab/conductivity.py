@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from expinstab import shapes
-from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
+from expinstab.shapes import BoundaryNodes, Shape
 
 MAX_INCLUSION_RADIUS = 0.8  # inclusions stay compactly inside B(0, 4/5)
 CONTRAST_GUARD = 1e-6
@@ -81,13 +81,9 @@ class InclusionProblem:
     def __post_init__(self):
         if self.shape.kind != shapes.RADIAL_SUBGRAPH:
             raise ValueError("inclusion must be a radial_subgraph shape")
-        prof: RadialProfile = self.shape.profile
-        cx, cy = prof.center
-        max_radius = math.hypot(cx, cy) + prof.base_radius + float(prof.values.max())
-        if max_radius > MAX_INCLUSION_RADIUS + 1e-12:
-            raise ValueError(
-                f"inclusion reaches radius {max_radius:.4f} > {MAX_INCLUSION_RADIUS}"
-            )
+        reach = self.shape.profile.reach
+        if reach > MAX_INCLUSION_RADIUS + 1e-12:
+            raise ValueError(f"inclusion reaches radius {reach:.4f} > {MAX_INCLUSION_RADIUS}")
         a = self.contrast
         if a <= 0:
             raise ValueError("contrast must be positive")

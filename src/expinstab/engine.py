@@ -390,6 +390,6 @@ def fit_instability_exponent(report: InstabilityReport) -> tuple[float, float]:
         return math.nan, math.nan
     usable = norms < 1.0
     if usable.sum() < 2:
-        return math.nan, 0.0
+        return math.nan, math.nan
     slope, _, r2 = line_fit(np.log(1.0 / eps[usable]), np.log(-np.log(norms[usable])))
     return slope, r2

@@ -67,6 +67,7 @@ def bump_derivative_maxima(m: int) -> np.ndarray:
         pts = np.concatenate([cand, [-1.0, 1.0]])
         out[k] = np.abs(np.polyval(coef[::-1], pts)).max()
         coef = slope
+    out.flags.writeable = False
     return out
 
 
@@ -164,22 +165,8 @@ class PackingFamily:
             idx, bump = self._cell_slices[c], self._cell_bumps[c]
             values[idx] = bump
         if cls.is_radial:
-            profile = RadialProfile(
-                values,
-                base_radius=cls.base,
-                smoothness_order=cls.m,
-                norm_bound=cls.beta,
-                amplitude_cap=self.eps,
-            )
-        else:
-            profile = FlatProfile(
-                values,
-                half_width=cls.base,
-                smoothness_order=cls.m,
-                norm_bound=cls.beta,
-                amplitude_cap=self.eps,
-            )
-        return Shape(cls.kind, profile)
+            return Shape(cls.kind, RadialProfile(values, base_radius=cls.base))
+        return Shape(cls.kind, FlatProfile(values, half_width=cls.base))
 
     def base_shape(self) -> Shape:
         return self.shape(0)

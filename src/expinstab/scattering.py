@@ -34,7 +34,7 @@ import numpy as np
 
 from expinstab import shapes, special
 from expinstab.conductivity import checked_solve, fourier_degrees, kept_array
-from expinstab.shapes import BoundaryNodes, RadialProfile, Shape
+from expinstab.shapes import BoundaryNodes, Shape
 from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
 
 MAX_OBSTACLE_RADIUS = 1.8  # obstacles stay inside B(0, 9/5)
@@ -51,9 +51,7 @@ class ObstacleProblem:
     def __post_init__(self):
         if self.shape.kind != shapes.RADIAL_SUBGRAPH:
             raise ValueError("obstacle must be a radial_subgraph shape")
-        prof: RadialProfile = self.shape.profile
-        cx, cy = prof.center
-        reach = math.hypot(cx, cy) + prof.base_radius + float(prof.values.max())
+        reach = self.shape.profile.reach
         if reach > MAX_OBSTACLE_RADIUS + 1e-12:
             raise ValueError(f"obstacle reaches radius {reach:.4f} > {MAX_OBSTACLE_RADIUS}")
         if min(self.wave_params) <= 0:

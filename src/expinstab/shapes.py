@@ -2,19 +2,23 @@
 
 A defect is represented as the (sub)graph of a nonnegative profile sampled on
 a uniform grid, either over a flat segment [-r, r] or over a circle of radius
-r.  Profiles are sampled rather than symbolic; every distance computed here
-carries a resolution error proportional to the grid spacing.  The discrete
-C^m norm is a centered finite-difference surrogate of the true norm; it is
-exact on sampled polynomials of degree <= m up to difference-scheme order and
-under-approximates the true norm in general, so constructions elsewhere keep
-a 5% safety margin when targeting a norm bound.  boundary_nodes gives the
+r.  A profile is its samples and base geometry; the class it is checked
+against (order m, norm bound beta, amplitude eps) is passed to cm_norm and
+validate_membership.  Profiles are sampled rather than symbolic; every
+distance computed here carries a resolution error proportional to the grid
+spacing.  The discrete C^m norm is a centered finite-difference surrogate of
+the true norm; it is exact on sampled polynomials of degree <= m up to
+difference-scheme order and under-approximates the true norm in general, so
+constructions elsewhere keep a 5% safety margin when targeting a norm bound.  boundary_nodes gives the
 quadrature nodes on which both Nystrom solvers discretize a radial boundary,
 and pair_geometry the squared distances and normal projections between
-nodes that both solvers' kernels are built from.
+nodes that both solvers' kernels are built from.  Shape files are a
+key=value header (kind, r, center, M) and M values, one per line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,9 +49,6 @@ class FlatProfile:
 
     values: np.ndarray
     half_width: float = 0.5
-    smoothness_order: int = 1
-    norm_bound: float = 1.0
-    amplitude_cap: float = 0.25
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -81,9 +82,6 @@ class RadialProfile:
     values: np.ndarray
     base_radius: float = 0.5
     center: tuple[float, float] = (0.0, 0.0)
-    smoothness_order: int = 1
-    norm_bound: float = 1.0
-    amplitude_cap: float = 0.25
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -106,6 +104,13 @@ class RadialProfile:
     @property
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
+
+    @property
+    def reach(self) -> float:
+        """Bound on the boundary's distance from the origin: |center| +
+        base_radius + max g, which the forward problems check against their
+        domain."""
+        return math.hypot(*self.center) + self.base_radius + float(self.values.max())
 
 
 Profile = FlatProfile | RadialProfile
@@ -144,22 +149,6 @@ class Shape:
 # sampling helpers
 # ----------------------------------------------------------------------------
 
-def resample_periodic(values: np.ndarray, n: int, derivative: int = 0) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of periodic samples on n uniform
-    nodes, optionally differentiated with respect to the angle."""
-    m = values.size
-    coef = np.fft.rfft(values) / m
-    if derivative:
-        k = np.arange(coef.size)
-        coef = coef * (1j * k) ** derivative
-        if m % 2 == 0 and derivative % 2 == 1:
-            coef[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-    out_coef = np.zeros(n // 2 + 1, dtype=complex)
-    keep = min(coef.size, out_coef.size)
-    out_coef[:keep] = coef[:keep]
-    return np.fft.irfft(out_coef * n, n=n)
-
-
 @dataclass(frozen=True)
 class BoundaryNodes:
     """Periodic trapezoid discretization of a star-shaped boundary
@@ -176,10 +165,23 @@ class BoundaryNodes:
 
 def boundary_nodes(profile: RadialProfile, n: int) -> BoundaryNodes:
     """Boundary nodes of the radial profile's star-shaped region, from the
-    trigonometric interpolant of its samples and two angular derivatives."""
-    rho = profile.base_radius + resample_periodic(profile.values, n)
-    d_rho = resample_periodic(profile.values, n, derivative=1)
-    dd_rho = resample_periodic(profile.values, n, derivative=2)
+    trigonometric interpolant of its samples and two angular derivatives,
+    all three read off one spectrum of the samples."""
+    m = profile.grid_size
+    coef = np.fft.rfft(profile.values) / m
+    k = np.arange(coef.size)
+    keep = min(coef.size, n // 2 + 1)
+
+    def resample(derivative: int) -> np.ndarray:
+        spectrum = coef * (1j * k) ** derivative if derivative else coef
+        if m % 2 == 0 and derivative % 2 == 1:
+            spectrum[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
+        out_coef = np.zeros(n // 2 + 1, dtype=complex)
+        out_coef[:keep] = spectrum[:keep]
+        return np.fft.irfft(out_coef * n, n=n)
+
+    rho = profile.base_radius + resample(0)
+    d_rho, dd_rho = resample(1), resample(2)
     t = 2.0 * np.pi * np.arange(n) / n
     ct, st = np.cos(t), np.sin(t)
     cx, cy = profile.center
@@ -348,7 +350,7 @@ class GridTooCoarse(ShapeError):
     """Grid cannot resolve the requested difference order."""
 
 
-def cm_norm(profile: Profile, order: int | None = None) -> float:
+def cm_norm(profile: Profile, m: int) -> float:
     """Discrete C^m norm: max over orders 0..m of the sup of centered
     finite differences scaled by the grid spacing.
 
@@ -356,7 +358,6 @@ def cm_norm(profile: Profile, order: int | None = None) -> float:
     second differences, so the scheme is exact on polynomials of degree <= m
     up to second-order truncation error.
     """
-    m = profile.smoothness_order if order is None else order
     if profile.grid_size <= 2 * (m + 1):
         raise GridTooCoarse(f"grid size {profile.grid_size} too coarse for order {m}")
     h = profile.spacing
@@ -384,9 +385,6 @@ def cm_norm(profile: Profile, order: int | None = None) -> float:
 class MembershipCheck:
     ok: bool
     reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_membership(shape: Shape, m: int, beta: float, eps: float) -> MembershipCheck:
@@ -431,9 +429,6 @@ def shape_to_text(shape: Shape) -> str:
         f"kind={shape.kind}",
         f"r={r:.17g}",
         f"center={center[0]:.17g},{center[1]:.17g}",
-        f"m={p.smoothness_order}",
-        f"beta={p.norm_bound:.17g}",
-        f"eps_cap={p.amplitude_cap:.17g}",
         f"M={p.grid_size}",
     ]
     lines.extend(f"{v:.17g}" for v in p.values)
@@ -441,30 +436,25 @@ def shape_to_text(shape: Shape) -> str:
 
 
 def shape_from_text(text: str) -> Shape:
+    """Parse shape_to_text's format: leading key=value header lines, read by
+    name (keys other than kind, r, center and M are ignored), then M values."""
     lines = [ln.strip() for ln in text.strip().splitlines()]
-    header: dict[str, str] = {}
-    for ln in lines[:7]:
-        key, _, val = ln.partition("=")
-        header[key] = val
+    head = 0
+    while head < len(lines) and "=" in lines[head]:
+        head += 1
+    header = dict(ln.split("=", 1) for ln in lines[:head])
     kind = header["kind"]
     if kind not in KINDS:
         raise ShapeError(f"unknown shape kind {kind!r}")
     m_count = int(header["M"])
-    vals = np.array([float(v) for v in lines[7 : 7 + m_count]])
+    vals = np.array([float(v) for v in lines[head : head + m_count]])
     if vals.size != m_count:
         raise ShapeError(f"expected {m_count} values, found {vals.size}")
-    common = dict(
-        smoothness_order=int(header["m"]),
-        norm_bound=float(header["beta"]),
-        amplitude_cap=float(header["eps_cap"]),
-    )
     if kind in (RADIAL_GRAPH, RADIAL_SUBGRAPH):
         cx, cy = (float(c) for c in header["center"].split(","))
-        profile: Profile = RadialProfile(
-            vals, base_radius=float(header["r"]), center=(cx, cy), **common
-        )
+        profile: Profile = RadialProfile(vals, base_radius=float(header["r"]), center=(cx, cy))
     else:
-        profile = FlatProfile(vals, half_width=float(header["r"]), **common)
+        profile = FlatProfile(vals, half_width=float(header["r"]))
     return Shape(kind, profile)
 
 

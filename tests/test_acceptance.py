@@ -73,7 +73,7 @@ def smooth_inclusion(rng, r=0.5, cap=0.1, modes=6, grid=2048):
         vals += rng.normal() * np.cos(j * theta) + rng.normal() * np.sin(j * theta)
     vals -= vals.min()
     vals *= cap / max(vals.max(), 1e-30)
-    prof = RadialProfile(vals, base_radius=r, amplitude_cap=cap)
+    prof = RadialProfile(vals, base_radius=r)
     return Shape(shapes.RADIAL_SUBGRAPH, prof)
 
 
@@ -266,7 +266,7 @@ def test_criterion_8_scattering():
         prob = ObstacleProblem(
             Shape(
                 shapes.RADIAL_SUBGRAPH,
-                RadialProfile(np.zeros(2048), base_radius=1.0, amplitude_cap=0.5),
+                RadialProfile(np.zeros(2048), base_radius=1.0),
             ),
             (a,),
             12,
@@ -287,7 +287,7 @@ def test_criterion_8_scattering():
         vals -= vals.min()
         vals *= 0.3 / max(vals.max(), 1e-30)
         shape = Shape(
-            shapes.RADIAL_SUBGRAPH, RadialProfile(vals, base_radius=1.0, amplitude_cap=0.5)
+            shapes.RADIAL_SUBGRAPH, RadialProfile(vals, base_radius=1.0)
         )
         _, (residual,) = farfield_numeric(ObstacleProblem(shape, (1.0,), 10, 192, 48))
         worst_rec = max(worst_rec, residual)

@@ -247,7 +247,7 @@ class TestSubcommands:
     def test_forward_and_scatter_roundtrip(self, tmp_path):
         shape = shapes.Shape(
             shapes.RADIAL_SUBGRAPH,
-            shapes.RadialProfile(np.zeros(256), base_radius=0.5, amplitude_cap=0.25),
+            shapes.RadialProfile(np.zeros(256), base_radius=0.5),
         )
         shape_file = tmp_path / "shape.txt"
         save_shape(shape, shape_file)
@@ -261,7 +261,7 @@ class TestSubcommands:
 
         big = shapes.Shape(
             shapes.RADIAL_SUBGRAPH,
-            shapes.RadialProfile(np.zeros(256), base_radius=1.0, amplitude_cap=0.5),
+            shapes.RadialProfile(np.zeros(256), base_radius=1.0),
         )
         big_file = tmp_path / "big.txt"
         save_shape(big, big_file)
@@ -278,7 +278,7 @@ class TestSubcommands:
         # at a = 1 the weighted difference is zero: decay_fit.csv reads nan
         disk = shapes.Shape(
             shapes.RADIAL_SUBGRAPH,
-            shapes.RadialProfile(np.zeros(256), base_radius=0.5, amplitude_cap=0.25),
+            shapes.RadialProfile(np.zeros(256), base_radius=0.5),
         )
         save_shape(disk, tmp_path / "disk.txt")
         argv = ["--out", str(tmp_path / "fwd"), "forward", "--shape-file", str(tmp_path / "disk.txt")]
@@ -290,7 +290,7 @@ class TestSubcommands:
         theta = 2 * np.pi * np.arange(256) / 256
         shape = shapes.Shape(
             shapes.RADIAL_SUBGRAPH,
-            shapes.RadialProfile(0.1 * (1 + np.cos(3 * theta)), base_radius=0.5, amplitude_cap=0.25),
+            shapes.RadialProfile(0.1 * (1 + np.cos(3 * theta)), base_radius=0.5),
         )
         save_shape(shape, tmp_path / "shape.txt")
         solve = conductivity.dtn_numeric
@@ -341,7 +341,7 @@ class TestSubcommands:
         old.write_text("threads=1\n")  # the knob is gone: an unknown key
         disk = shapes.Shape(
             shapes.RADIAL_SUBGRAPH,
-            shapes.RadialProfile(np.zeros(256), base_radius=1.0, amplitude_cap=0.5),
+            shapes.RadialProfile(np.zeros(256), base_radius=1.0),
         )
         save_shape(disk, tmp_path / "disk.txt")
         for argv in (
@@ -372,7 +372,7 @@ class TestSubcommands:
         monkeypatch.setattr(cli, "load_shape", never)
         disk = shapes.Shape(
             shapes.RADIAL_SUBGRAPH,
-            shapes.RadialProfile(np.zeros(256), base_radius=0.5, amplitude_cap=0.25),
+            shapes.RadialProfile(np.zeros(256), base_radius=0.5),
         )
         save_shape(disk, tmp_path / "disk.txt")
         assert cli.main(["instability", "--eps-list", "0.05", "--budget", "20"]) == 2
@@ -407,7 +407,7 @@ class TestSubcommands:
         monkeypatch.chdir(tmp_path)
         disk = shapes.Shape(
             shapes.RADIAL_SUBGRAPH,
-            shapes.RadialProfile(np.zeros(256), base_radius=1.0, amplitude_cap=0.5),
+            shapes.RadialProfile(np.zeros(256), base_radius=1.0),
         )
         save_shape(disk, tmp_path / "disk.txt")
         assert cli.main(argv) == 0
@@ -439,14 +439,14 @@ class TestSubcommands:
         monkeypatch.chdir(tmp_path)
         disk = shapes.Shape(
             shapes.RADIAL_SUBGRAPH,
-            shapes.RadialProfile(np.zeros(64), base_radius=0.5, amplitude_cap=0.25),
+            shapes.RadialProfile(np.zeros(64), base_radius=0.5),
         )
         save_shape(disk, "disk.txt")
         text = shapes.shape_to_text(disk).splitlines(keepends=True)
         (tmp_path / "no_m.txt").write_text("".join(line for line in text if not line.startswith("M=")))
-        (tmp_path / "word.txt").write_text("".join(text[:7] + ["abc\n"] + text[8:]))
+        (tmp_path / "word.txt").write_text("".join(text[:4] + ["abc\n"] + text[5:]))
         save_shape(shapes.Shape(shapes.FLAT_SUBGRAPH, shapes.FlatProfile(np.zeros(64))), "flat.txt")
-        wide = shapes.RadialProfile(np.full(64, 0.4), base_radius=0.5, amplitude_cap=0.5)
+        wide = shapes.RadialProfile(np.full(64, 0.4), base_radius=0.5)
         save_shape(shapes.Shape(shapes.RADIAL_SUBGRAPH, wide), "wide.txt")
         code = cli.main(["--out", "out", *argv])
         err = capsys.readouterr().err

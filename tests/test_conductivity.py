@@ -35,8 +35,8 @@ from expinstab.packing import ShapeClass, build_packing
 from expinstab.shapes import RadialProfile, Shape
 
 
-def disk_shape(values, r=0.5, cap=0.25, center=(0.0, 0.0)):
-    prof = RadialProfile(np.asarray(values, dtype=float), base_radius=r, amplitude_cap=cap, center=center)
+def disk_shape(values, r=0.5, center=(0.0, 0.0)):
+    prof = RadialProfile(np.asarray(values, dtype=float), base_radius=r, center=center)
     return Shape(shapes.RADIAL_SUBGRAPH, prof)
 
 
@@ -327,7 +327,7 @@ class TestDtnNumeric:
 
     def test_rejects_oversized_inclusion(self):
         with pytest.raises(ValueError):
-            InclusionProblem(disk_shape(np.full(256, 0.4), r=0.5, cap=0.5), 2.0, 4, 64)
+            InclusionProblem(disk_shape(np.full(256, 0.4), r=0.5), 2.0, 4, 64)
 
 
 class TestWeightedDifference:

@@ -73,6 +73,12 @@ class TestExponentFit:
         q_hat, r2 = fit_instability_exponent(report)
         assert math.isfinite(q_hat)
 
+    def test_one_usable_norm_fits_nothing(self):
+        # norms at or above 1 are excluded: one norm left gives no line
+        report = synthetic_report([1e-2, 1e-3, 1e-4], [1.0, 2.0, 0.5])
+        q_hat, r2 = fit_instability_exponent(report)
+        assert math.isnan(q_hat) and math.isnan(r2)
+
 
 class TestRunInstability:
     def test_budget_two_returns_the_sampled_pair(self):

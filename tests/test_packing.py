@@ -11,6 +11,7 @@ from expinstab.packing import (
     ShapeClass,
     build_bump,
     build_packing,
+    bump_derivative_maxima,
     bump_norm_constant,
     class_eps0,
     construction_eps0_prime,
@@ -43,6 +44,11 @@ class TestBump:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_norm_constant_vs_symbolic_oracle(self, m):
         assert bump_norm_constant(m) == pytest.approx(symbolic_bump_constant(m), rel=1e-10)
+
+    def test_cached_derivative_maxima_are_read_only(self):
+        with pytest.raises(ValueError):
+            bump_derivative_maxima(2)[2] = 0.0
+        assert bump_norm_constant(2) == pytest.approx(symbolic_bump_constant(2), rel=1e-10)
 
 
 class TestBuildPacking:

@@ -31,8 +31,8 @@ from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
 FIRST_J0_ZERO = 2.404825557695773
 
 
-def obstacle(values, r=1.0, cap=0.5):
-    prof = shapes.RadialProfile(np.asarray(values, dtype=float), base_radius=r, amplitude_cap=cap)
+def obstacle(values, r=1.0):
+    prof = shapes.RadialProfile(np.asarray(values, dtype=float), base_radius=r)
     return shapes.Shape(shapes.RADIAL_SUBGRAPH, prof)
 
 
@@ -122,6 +122,16 @@ class TestHankelBound:
 
 
 class TestNumericFarField:
+    def test_rejects_obstacle_reaching_past_its_domain(self):
+        vals = np.zeros(64)
+        vals[5] = 0.2
+        centred = shapes.Shape(shapes.RADIAL_SUBGRAPH, shapes.RadialProfile(vals, base_radius=1.2))
+        ObstacleProblem(centred, (1.0,), 4, 64, 16)  # reaches 1.4
+        # |center| 0.5 + base radius 1.2 + bump 0.2
+        off = shapes.RadialProfile(vals, base_radius=1.2, center=(0.3, 0.4))
+        with pytest.raises(ValueError, match=r"^obstacle reaches radius 1\.9000 > 1\.8$"):
+            ObstacleProblem(shapes.Shape(shapes.RADIAL_SUBGRAPH, off), (1.0,), 4, 64, 16)
+
     @pytest.mark.parametrize("a", [1.0, 4.0])
     def test_constant_profile_matches_disk(self, a):
         prob = ObstacleProblem(obstacle(np.zeros(2048)), (a,), 12, 192, 48)

@@ -20,16 +20,12 @@ from expinstab.shapes import (
 )
 
 
-def radial_shape(values, kind=shapes.RADIAL_GRAPH, r=0.5, m=1, beta=1.0, cap=0.25):
-    prof = RadialProfile(values, base_radius=r, smoothness_order=m,
-                         norm_bound=beta, amplitude_cap=cap)
-    return Shape(kind, prof)
+def radial_shape(values, kind=shapes.RADIAL_GRAPH, r=0.5):
+    return Shape(kind, RadialProfile(values, base_radius=r))
 
 
-def flat_shape(values, kind=shapes.FLAT_GRAPH, r=0.5, m=1, beta=1.0, cap=0.25):
-    prof = FlatProfile(values, half_width=r, smoothness_order=m,
-                       norm_bound=beta, amplitude_cap=cap)
-    return Shape(kind, prof)
+def flat_shape(values, kind=shapes.FLAT_GRAPH, r=0.5):
+    return Shape(kind, FlatProfile(values, half_width=r))
 
 
 def smooth_radial_values(rng, grid=512, cap=0.2, modes=6):
@@ -143,18 +139,18 @@ class TestHausdorff:
 
 class TestCmNorm:
     def test_zero_profile(self):
-        assert cm_norm(RadialProfile(np.zeros(128))) == 0.0
+        assert cm_norm(RadialProfile(np.zeros(128)), 1) == 0.0
 
     def test_constant_radial_profile(self):
-        prof = RadialProfile(np.full(128, 0.07), smoothness_order=2)
-        assert cm_norm(prof) == pytest.approx(0.07, abs=1e-12)
+        prof = RadialProfile(np.full(128, 0.07))
+        assert cm_norm(prof, 2) == pytest.approx(0.07, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_polynomial_bump_matches_symbolic_maxima(self, m):
         h, w, r, grid = 0.1, 0.2, 0.5, 4096
         tg = np.linspace(-r, r, grid)
         vals = np.where(np.abs(tg) < w, h * (1 - (tg / w) ** 2) ** (m + 1), 0.0)
-        prof = FlatProfile(vals, half_width=r, smoothness_order=m)
+        prof = FlatProfile(vals, half_width=r)
 
         t = sympy.symbols("t", real=True)
         expr = h * (1 - (t / w) ** 2) ** (m + 1)
@@ -165,11 +161,11 @@ class TestCmNorm:
                     if s.is_real and abs(float(s)) <= w]
             pts = [float(s) for s in crit] + [-w, 0.0, w]
             expected = max(expected, max(abs(float(dk.subs(t, p))) for p in pts))
-        assert cm_norm(prof) == pytest.approx(expected, rel=0.01)
+        assert cm_norm(prof, m) == pytest.approx(expected, rel=0.01)
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
-            cm_norm(RadialProfile(np.zeros(6), smoothness_order=3))
+            cm_norm(RadialProfile(np.zeros(6)), 3)
 
 
 class TestMembership:
@@ -240,3 +236,23 @@ class TestSerialization:
         back = shapes.load_shape(path)
         np.testing.assert_array_equal(back.profile.values, s.profile.values)
         assert back.profile.half_width == s.profile.half_width
+
+    OFF_CENTRE = "kind=radial_subgraph\nr=0.5\ncenter=0.25,-0.5\nM=4\n0\n0.10000000000000001\n0.25\n0.125\n"
+
+    def test_radial_text_is_pinned(self):
+        prof = RadialProfile([0.0, 0.1, 0.25, 0.125], base_radius=0.5, center=(0.25, -0.5))
+        assert shape_to_text(Shape(shapes.RADIAL_SUBGRAPH, prof)) == self.OFF_CENTRE
+
+    def test_flat_text_is_pinned(self):
+        s = flat_shape([0.0, 0.1, 0.2, 0.0], kind=shapes.FLAT_SUBGRAPH, r=0.75)
+        want = "kind=flat_subgraph\nr=0.75\ncenter=0,0\nM=4\n0\n0.10000000000000001\n0.20000000000000001\n0\n"
+        assert shape_to_text(s) == want
+
+    def test_legacy_seven_line_header_loads(self):
+        legacy = self.OFF_CENTRE.replace("M=4", "m=2\nbeta=1.5\neps_cap=0.25\nM=4")
+        back, want = shape_from_text(legacy), shape_from_text(self.OFF_CENTRE)
+        assert back.kind == want.kind == shapes.RADIAL_SUBGRAPH
+        assert back.profile.base_radius == want.profile.base_radius == 0.5
+        assert back.profile.center == want.profile.center == (0.25, -0.5)
+        np.testing.assert_array_equal(back.profile.values, want.profile.values)
+        assert shape_to_text(back) == self.OFF_CENTRE
