@@ -13,11 +13,13 @@ second-kind equation
 with K* the normal-derivative layer operator; on smooth star-shaped
 interfaces the kernel is continuous (diagonal limit through the curvature)
 and the periodic trapezoid rule converges spectrally.  The kernel's transpose
-is filled in cache-sized row blocks, bit for bit the full-array build at about
-a quarter of its peak memory, into an array that each thread keeps between
-shapes; LAPACK then reads the kernel in Fortran order without a copy.  Each
-block divides nu(x).(x - y) by |x - y|^2, for the sources y and their images,
-both from shapes.pair_geometry as in the scattering kernel.  Matrix entries
+is filled in cache-sized row blocks, bit for bit the full-array build in the
+same order of operations at about a quarter of its peak memory, into an
+array that each thread keeps between shapes; LAPACK then reads the kernel in
+Fortran order without a copy.  Each block divides nu(x).(x - y) by
+|x - y|^2: for the sources y (the log half) both come from
+shapes.pair_geometry, as in the scattering kernel; for their images y* they
+are short sums of per-source and per-target factors.  Matrix entries
 against the circle Fourier basis reduce to interface integrals of phi against
 the harmonic extensions, so no volume mesh is needed; the concentric closed
 form serves as the accuracy gate.
@@ -132,29 +134,43 @@ def _kstar_matrix(nodes: BoundaryNodes, kernel: np.ndarray) -> np.ndarray:
     The kernel's transpose is written into the n x n array kernel and
     kernel.T is returned: a Fortran-ordered view, which LAPACK factors
     without a transposing copy.  Filled ROW_BLOCK rows (kernel columns) at a
-    time so the work arrays stay in cache; every entry goes through the same
-    operations as a full-array build of the kernel."""
+    time so the work arrays stay in cache.  The log half takes its
+    differences x - y from shapes.pair_geometry, since they cancel near the
+    diagonal.  The image half is two short sums of per-source and per-target
+    factors, nu.x - nu.y* over |x|^2 + |y*|^2 - 2 x.y*, added left to right
+    by einsum (no BLAS call, so no entry depends on its block); the form is
+    well conditioned because |x - y*|^2 >= (1/0.8 - 0.8)^2."""
     n = nodes.weights.size
     frame = np.vstack([nodes.points.T, nodes.normals.T])  # contiguous x, y, nu_x, nu_y
     points, normals = frame[:2], frame[2:]
     # image part: y* = y/|y|^2, smooth since |y*| >= 1/0.8 > |x|
     images = points / np.hypot(*points) ** 2
+    (x, y), (nu_x, nu_y), (ix, iy) = points, normals, images
+    ones = np.ones(n)
+    # at [i, j]: the target x_j runs along a row, the source y_i (or y_i*) down a
+    # column; the image half's numerator nu.x - nu.y* and denominator
+    # |x|^2 + |y*|^2 - 2 x.y* sum source factors [i, k] times target factors [k, j]
+    num_sources = np.column_stack([ones, -ix, -iy])
+    num_targets = np.vstack([nu_x * x + nu_y * y, nu_x, nu_y])
+    den_sources = np.column_stack([ones, ix * ix + iy * iy, -2.0 * ix, -2.0 * iy])
+    den_targets = np.vstack([x * x + y * y, ones, x, y])
     # continuous diagonal limit of the log part: -kappa/(4 pi) once negated and scaled
     log_diagonal = 0.5 * nodes.curvature
     scale = nodes.weights / (2.0 * np.pi)
     work = np.empty((4, min(ROW_BLOCK, n), n))
-    for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, min(start + ROW_BLOCK, n))
-        block = kernel[rows]
-        log_part, dist2, *scratch = work[:, : block.shape[0]]
-        # at [i, j]: the target x_j runs along a row, the source y_i (or y_i*) down a column
-        for sources, part in ((images, block), (points, log_part)):
-            shapes.pair_geometry(points, sources[:, rows, None], normals, (dist2, part, *scratch))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                part /= dist2  # 0/0 on the log part's diagonal, set next
-        log_part.flat[start :: n + 1] = log_diagonal[rows]
-        block -= log_part
-        block *= scale[rows, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the log part's diagonal, set below
+        for start in range(0, n, ROW_BLOCK):
+            rows = slice(start, min(start + ROW_BLOCK, n))
+            block = kernel[rows]
+            log_part, dist2, *scratch = work[:, : block.shape[0]]
+            np.einsum("ik,kj->ij", num_sources[rows], num_targets, out=block)
+            np.einsum("ik,kj->ij", den_sources[rows], den_targets, out=dist2)
+            block /= dist2
+            shapes.pair_geometry(points, points[:, rows, None], normals, (dist2, log_part, *scratch))
+            log_part /= dist2
+            log_part.flat[start :: n + 1] = log_diagonal[rows]
+            block -= log_part
+            block *= scale[rows, None]
     return kernel.T
 
 
@@ -165,7 +181,9 @@ def _mode_traces(nodes: BoundaryNodes, n_max: int):
     With z = x + iy, the extension of cos/sin mode j is Re/Im z^j / sqrt(pi),
     of the constant 1/sqrt(2 pi); by Cauchy-Riemann the normal derivative of
     Re/Im z^j is Re/Im (j nu z^(j-1)) with nu = nu_x + i nu_y.  Columns follow
-    fourier_degrees ordering.
+    fourier_degrees ordering: columns 2j-1 and 2j are the real and imaginary
+    parts of one complex column, so the products are written in place through
+    a complex view.
     """
     n_pts = nodes.weights.size
     powers = np.ones((n_pts, n_max + 1), dtype=complex)  # z^0 ... z^n_max
@@ -173,14 +191,15 @@ def _mode_traces(nodes: BoundaryNodes, n_max: int):
     np.cumprod(powers, axis=1, out=powers)
     nu = nodes.normals[:, 0] + 1j * nodes.normals[:, 1]
     inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    modes = powers[:, 1:] * inv_sqrt_pi
-    slopes = powers[:, :-1] * (np.arange(1, n_max + 1) * inv_sqrt_pi) * nu[:, None]
     values = np.empty((n_pts, 2 * n_max + 1))
     d_normal = np.empty((n_pts, 2 * n_max + 1))
     values[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
     d_normal[:, 0] = 0.0
-    values[:, 1::2], values[:, 2::2] = modes.real, modes.imag
-    d_normal[:, 1::2], d_normal[:, 2::2] = slopes.real, slopes.imag
+    np.multiply(powers[:, 1:], inv_sqrt_pi, out=values[:, 1:].view(complex))
+    slopes = np.multiply(
+        powers[:, :-1], np.arange(1, n_max + 1) * inv_sqrt_pi, out=d_normal[:, 1:].view(complex)
+    )
+    slopes *= nu[:, None]
     return values, d_normal
 
 
@@ -198,8 +217,9 @@ def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
     nodes = shapes.boundary_nodes(prob.shape.profile, prob.quad_nodes)
     lam_c = (prob.contrast + 1.0) / (2.0 * (prob.contrast - 1.0))
     n = prob.quad_nodes
-    system = _kstar_matrix(nodes, kept_array("kstar", (n, n)))  # Fortran-ordered
-    system[np.diag_indices_from(system)] += lam_c
+    kernel = kept_array("kstar", (n, n))
+    system = _kstar_matrix(nodes, kernel)  # Fortran-ordered view of kernel
+    kernel.flat[:: n + 1] += lam_c
     values, d_normal = _mode_traces(nodes, n_max)
     # phi is minus the density; negation is exact, so no bit of delta moves
     phi = checked_solve(system, d_normal, "transmission")

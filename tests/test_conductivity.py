@@ -129,30 +129,53 @@ def kstar_oracle(nodes):
 
 def kstar_full_array(nodes):
     """_kstar_matrix as one pass over full n x n arrays, in the order of
-    operations the row blocks must keep entry by entry."""
-
-    def normal_quotients(px, py):
-        x, y = nodes.points[:, :1], nodes.points[:, 1:]
-        nx, ny = nodes.normals[:, :1], nodes.normals[:, 1:]
-        dx = x - px
-        dy = y - py
-        quot = nx * dx
-        quot += ny * dy
-        dx *= dx
-        dy *= dy
-        dx += dy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quot /= dx
-        return quot
-
+    operations the row blocks must keep entry by entry: the image half's
+    numerator and denominator as explicit left-to-right sums of per-source
+    (down a column) and per-target (along a row) factors, the log half's
+    differences from the points themselves."""
     x, y = nodes.points[:, 0], nodes.points[:, 1]
+    nx, ny = nodes.normals[:, 0], nodes.normals[:, 1]
     r2 = np.hypot(x, y) ** 2
-    kernel = normal_quotients(x / r2, y / r2)
-    log_part = normal_quotients(x, y)
+    ix, iy = (x / r2)[:, None], (y / r2)[:, None]
+    numerator = (nx * x + ny * y) + -ix * nx
+    numerator += -iy * ny
+    denominator = (x * x + y * y) + (ix * ix + iy * iy)
+    denominator += -2.0 * ix * x
+    denominator += -2.0 * iy * y
+    kernel = numerator / denominator
+    dx = x - x[:, None]
+    dy = y - y[:, None]
+    log_part = nx * dx
+    log_part += ny * dy
+    dx *= dx
+    dy *= dy
+    dx += dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_part /= dx
     np.fill_diagonal(log_part, 0.5 * nodes.curvature)
     kernel -= log_part
-    kernel *= nodes.weights / (2.0 * np.pi)
-    return kernel
+    kernel *= (nodes.weights / (2.0 * np.pi))[:, None]
+    return kernel.T
+
+
+def mode_traces_copies(nodes, n_max):
+    """_mode_traces with its products as temporaries, copied into the real
+    and imaginary columns by strided assignment."""
+    n_pts = nodes.weights.size
+    powers = np.ones((n_pts, n_max + 1), dtype=complex)
+    powers[:, 1:] = (nodes.points[:, 0] + 1j * nodes.points[:, 1])[:, None]
+    np.cumprod(powers, axis=1, out=powers)
+    nu = nodes.normals[:, 0] + 1j * nodes.normals[:, 1]
+    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
+    modes = powers[:, 1:] * inv_sqrt_pi
+    slopes = powers[:, :-1] * (np.arange(1, n_max + 1) * inv_sqrt_pi) * nu[:, None]
+    values = np.empty((n_pts, 2 * n_max + 1))
+    d_normal = np.empty((n_pts, 2 * n_max + 1))
+    values[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
+    d_normal[:, 0] = 0.0
+    values[:, 1::2], values[:, 2::2] = modes.real, modes.imag
+    d_normal[:, 1::2], d_normal[:, 2::2] = slopes.real, slopes.imag
+    return values, d_normal
 
 
 def mode_traces_polar(nodes, n_max):
@@ -201,6 +224,12 @@ class TestKernelAssembly:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
 
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 32])
+    def test_mode_traces_in_place_equal_copies_bit_for_bit(self, n_max):
+        nodes = off_centre_nodes(13, 512)
+        for got, want in zip(_mode_traces(nodes, n_max), mode_traces_copies(nodes, n_max)):
+            assert np.array_equal(got, want)
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -237,6 +266,17 @@ class TestDtnNumeric:
         nodes = shapes.boundary_nodes(prob.shape.profile, prob.quad_nodes)
         expected = kstar_oracle(nodes)
         kernel = _kstar_matrix(nodes, np.empty((32, 32)))
+        assert np.abs(kernel - expected).max() <= 1e-15 * np.abs(expected).max()
+
+    def test_kernel_against_scalar_oracle_near_reach_limit(self):
+        # an off-centre inclusion whose nodes reach 0.7997: the image half's
+        # denominator |x|^2 + |y*|^2 - 2 x.y* is at its smallest
+        shape = smooth_inclusion(np.random.default_rng(3), r=0.4, modes=8, center=(0.18, -0.24))
+        prob = InclusionProblem(shape, 2.0, 8, 128)
+        nodes = shapes.boundary_nodes(prob.shape.profile, prob.quad_nodes)
+        assert np.hypot(*nodes.points.T).max() > 0.799
+        expected = kstar_oracle(nodes)
+        kernel = _kstar_matrix(nodes, np.empty((128, 128)))
         assert np.abs(kernel - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_reused_kernel_array_keeps_shapes_apart(self):
