@@ -16,12 +16,16 @@ kernel build writes every n x n and triangle-sized array into arrays that each
 thread keeps between solves (conductivity.kept_array): with glibc malloc the
 several MB that a solve used to allocate and free went back to the operating
 system, and the next solve faulted them in again (about 1,450 page faults and
-3 ms of system time per 192-node solve).  The Bessel series' scratch is one of
-them: six triangle-sized rows that hold the four results and, while the
-series runs, each chunk of powers of q and of their coefficient-table
-product.  Far-field coefficients b_kl are projections of the far-field
-pattern on the circle Fourier basis; the closed-form disk series
-(Jacobi-Anger) is the accuracy oracle.
+3 ms of system time per 192-node solve).  Besides its complex matrix, whose
+floats hold K1's real and imaginary planes until the last step writes the
+sums, the kernel keeps three n x n float planes, and each Bessel value is
+mirrored from its triangle into a plane whose values are spent; the log
+weights R_|i-j| are a read-only circulant view of 2n floats.  The Bessel
+series' scratch is a kept array too: six triangle-sized rows that hold the
+four results and, while the series runs, each chunk of powers of q and of
+their coefficient-table product.  Far-field coefficients b_kl are
+projections of the far-field pattern on the circle Fourier basis; the
+closed-form disk series (Jacobi-Anger) is the accuracy oracle.
 """
 
 from __future__ import annotations
@@ -126,37 +130,43 @@ def _log_weights(n: int) -> np.ndarray:
 @functools.cache
 def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables of the node count alone: ln(4 sin^2((t_i - t_j)/2))
-    (0 on the diagonal) and the log weights gathered as R_|i-j|, both at
-    [j, i] like the transposed kernel of _kernel_matrices, the flat indices
-    of the upper triangle with its diagonal, and the triangle position of
-    each (i, j) or (j, i)."""
+    (0 on the diagonal) and the log weights R_|i-j|, both at [j, i] like the
+    transposed kernel of _kernel_matrices, the flat indices of the upper
+    triangle with its diagonal, and the triangle position of each (i, j) or
+    (j, i).  The weights are circulant: the table is a view of the 2n weights
+    R_0 .. R_(n-1), R_0 .. R_(n-1) that starts each row j at R_0 of the second
+    copy and steps back one per row, so [j, i] reads R_((i - j) mod n)."""
     weights = _log_weights(n)
     t = 2.0 * np.pi * np.arange(n) / n
     log_fac = np.log(4.0 * np.sin(0.5 * (t[None, :] - t[:, None])) ** 2,
                      where=~np.eye(n, dtype=bool), out=np.zeros((n, n)))
-    gathered = weights[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
-    rows, cols = np.triu_indices(n)
+    twice = np.concatenate([weights, weights])
+    twice.flags.writeable = False
+    step = twice.itemsize
+    circulant = np.ndarray((n, n), buffer=twice, offset=n * step, strides=(-step, step))
+    below = np.tri(n, k=-1, dtype=bool)
+    upper = np.flatnonzero(~below)
     mirror = np.empty((n, n), dtype=np.intp)
-    mirror[rows, cols] = mirror[cols, rows] = np.arange(rows.size)
-    tables = (log_fac, gathered, rows * n + cols, mirror)
+    mirror.flat[upper] = np.arange(upper.size)
+    np.copyto(mirror, mirror.T, where=below)
+    tables = (log_fac, circulant, upper, mirror)
     for a in tables:
         a.flags.writeable = False
     return tables
 
 
-def _symmetric_jy01(kr: np.ndarray, out: np.ndarray):
-    """jy01_kernel of a bitwise-symmetric matrix from its upper triangle: the
+def _upper_jy01(r: np.ndarray, k: float):
+    """special.jy01_kernel at k r on the upper triangle of the bitwise-symmetric
+    r, in _quadrature_tables' triangle order: taking each value at the mirror
+    table's position gives the full-grid call's values bit for bit, since the
     series and asymptotic loops stop on the max over the same set of
-    arguments, so the values are the full-grid call's bit for bit.  They are
-    written into out's four arrays of kr's shape (kr may be one of them); the
-    triangle is evaluated in kept arrays."""
-    _, _, upper, mirror = _quadrature_tables(kr.shape[0])
+    arguments.  The arguments and the series' scratch are kept arrays."""
+    _, _, upper, _ = _quadrature_tables(r.shape[0])
     # mode="clip" takes straight into out: the default mode buffers a copy
-    args = np.take(kr, upper, out=kept_array("jy01_args", upper.shape), mode="clip")
+    args = np.take(r, upper, out=kept_array("jy01_args", upper.shape), mode="clip")
+    args *= k
     work = kept_array("jy01_work", (special.WORK_ROWS,) + upper.shape)
-    for value, full in zip(special.jy01_kernel(args, work=work), out):
-        np.take(value, mirror, out=full, mode="clip")
-    return out
+    return special.jy01_kernel(args, work=work)
 
 
 def _product(out: np.ndarray, first, *factors) -> np.ndarray:
@@ -174,36 +184,50 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
 
     Every product in the complex kernels has a real or a purely imaginary
     factor, so their real and imaginary planes are computed apart in float64,
-    bit for bit the complex form's products and sums.  Each plane is built in
-    an array whose values it has consumed.  Every n x n array holds the
-    transpose, entry (i, j) at [j, i], and quad.T is returned: a
-    Fortran-ordered view, which LAPACK factors without a transposing copy.
-    All arrays, the returned matrix too, are this thread's kept arrays: the
-    next call at the same node count overwrites them."""
+    bit for bit the complex form's products and sums.  The work fits in
+    three kept float planes and the returned complex matrix: its 2 n^2 floats
+    are two contiguous planes that hold K1's real and imaginary parts, and
+    the last step writes K1 R + K2 2 pi/n into its real and imaginary views.
+    Each Bessel value is mirrored from its triangle into a plane just before
+    its products are formed, over a plane whose values are spent.  Every
+    n x n array holds the transpose, entry (i, j) at [j, i], and quad.T is
+    returned: a Fortran-ordered view, which LAPACK factors without a
+    transposing copy.  All arrays, the returned matrix too, are this
+    thread's kept arrays: the next call at the same node count overwrites
+    them."""
     eta = k
     n = nodes.jac.size
-    log_fac, r_weights, _, _ = _quadrature_tables(n)
-    planes = kept_array("kernel_planes", (6, n, n))
+    log_fac, r_weights, _, mirror = _quadrature_tables(n)
+    r, nu_cos, third = kept_array("kernel_planes", (3, n, n))
+    quad = kept_array("kernel", (n, n), complex)
+    # quad's 2 n^2 floats hold K1's two planes until the last step
+    k1_re, k1_im = quad.view(float).reshape(2, n, n)
     # at [j, i]: the target x_i runs along a row, the source y_j and its normal down a column
     sources, normals = nodes.points.T[..., None], nodes.normals.T[..., None]
-    shapes.pair_geometry(nodes.points.T, sources, normals, planes[:4])
-    r, nu_cos = np.sqrt(planes[0], out=planes[0]), planes[1]
+    shapes.pair_geometry(nodes.points.T, sources, normals, (r, nu_cos, third, k1_re))
+    np.sqrt(r, out=r)
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
     nu_cos /= r
     # r is bitwise symmetric: its entries come from negated coordinate differences
-    j0, j1, y0, y1 = _symmetric_jy01(np.multiply(k, r, out=planes[2]), out=planes[2:])
+    j0, j1, y0, y1 = _upper_jy01(r, k)
     jac_y = nodes.jac[:, None]  # |x'(y_j)|, down the rows of the transpose
+
+    def full(value, out):
+        return np.take(value, mirror, out=out, mode="clip")
 
     # K = (ik/4) H1(kr) (nu(y).(x-y)/r) |x'(y)| - i eta (i/4) H0(kr) |x'(y)|,
     # double layer minus i eta times single layer, with H = J + iY, and
     # K1 = -(k/4pi) J1(kr) (...) |x'| - i eta (-(1/4pi) J0(kr) |x'|)
-    k1_re = _product(r, -(k / (4.0 * math.pi)), j1, nu_cos, jac_y)
+    j1 = full(j1, third)
+    _product(k1_re, -(k / (4.0 * math.pi)), j1, nu_cos, jac_y)
     k2_im = _product(j1, k / 4.0, j1, nu_cos, jac_y)
+    y1 = full(y1, r)
     k2_re = _product(y1, -(k / 4.0), y1, nu_cos, jac_y)
-    term = nu_cos
-    k2_im += _product(term, 0.25, y0, jac_y, eta)
+    term = full(y0, nu_cos)
+    k2_im += _product(term, 0.25, term, jac_y, eta)
+    j0 = full(j0, term)
+    _product(k1_im, 1.0 / (4.0 * math.pi), j0, jac_y, eta)
     k2_re += _product(term, 0.25, j0, jac_y, eta)
-    k1_im = _product(j0, 1.0 / (4.0 * math.pi), j0, jac_y, eta)
     # K2 = K - K1 ln(4 sin^2)
     k2_re -= _product(term, k1_re, log_fac)
     k2_im -= _product(term, k1_im, log_fac)
@@ -219,11 +243,13 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
     np.fill_diagonal(k1_re, 0.0)
     np.fill_diagonal(k1_im, eta * nodes.jac * (1.0 / (4.0 * math.pi)))
 
-    quad = kept_array("kernel", (n, n), complex)
-    for k1, k2, plane in ((k1_re, k2_re, quad.real), (k1_im, k2_im, quad.imag)):
+    for k1, k2 in ((k1_re, k2_re), (k1_im, k2_im)):
         k1 *= r_weights
         k2 *= 2.0 * np.pi / n
-        np.add(k1, k2, out=plane)
+        k2 += k1  # k1 + k2: a sum's bits do not depend on the order of its terms
+    # K1's planes are spent: quad's floats take the sums' real and imaginary parts
+    quad.real = k2_re
+    quad.imag = k2_im
     return quad.T
 
 
@@ -280,7 +306,7 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     k = math.sqrt(a)
     nodes = shapes.boundary_nodes(shape.profile, quad_nodes)
     system = _kernel_matrices(nodes, k)
-    system[np.diag_indices_from(system)] += 0.5
+    system.T.flat[:: quad_nodes + 1] += 0.5  # the diagonal, through the C-ordered kept array
     omega = _direction_grid(direction_count)
     dirs = np.column_stack([np.cos(omega), np.sin(omega)])
     # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower

@@ -10,7 +10,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expinstab import scattering, shapes, special
+from expinstab import conductivity, scattering, shapes, special
 from expinstab.conductivity import fit_envelope, fourier_degrees
 from expinstab.scattering import (
     disk_mode_coefficients,
@@ -22,7 +22,7 @@ from expinstab.scattering import (
     _kernel_matrices,
     _log_weights,
     _quadrature_tables,
-    _symmetric_jy01,
+    _upper_jy01,
     reciprocity_residual,
     solve_scattering,
 )
@@ -279,9 +279,9 @@ class TestKernelBitIdentity:
         assert np.array_equal(kernel, full_grid_kernel(nodes, k))
         r, _ = plain_geometry(nodes)
         np.fill_diagonal(r, 1.0)
-        mirrored = _symmetric_jy01(k * r, out=np.empty((4, 64, 64)))
-        for ours, full in zip(mirrored, special.jy01_kernel(k * r)):
-            assert np.array_equal(ours, full)
+        mirror = _quadrature_tables(64)[3]
+        for ours, full in zip(_upper_jy01(r, k), special.jy01_kernel(k * r)):
+            assert np.array_equal(ours[mirror], full)
 
     @pytest.mark.parametrize("a", [1.0, 4.0])
     def test_phases_equal_complex_gemm_form(self, a):
@@ -364,6 +364,22 @@ class TestKernelBitIdentity:
                 table.flat[0] = 0
         with pytest.raises(ValueError, match="even"):
             _quadrature_tables(63)
+
+    def test_kernel_keeps_three_planes_and_a_circulant_weight_view(self):
+        n = 192
+        nodes = shapes.boundary_nodes(self.bumpy_star().profile, n)
+        _kernel_matrices(nodes, 2.0)
+        # this thread's kept float planes, read without making any
+        assert vars(conductivity._workspace)["kernel_planes"].size == 3 * n * n
+        _, r_weights, _, _ = _quadrature_tables(n)
+        assert r_weights.base.size == 2 * n
+        assert np.shares_memory(r_weights, r_weights.base)
+        assert not r_weights.base.flags.writeable
+        idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        assert np.array_equal(r_weights.view(np.uint64), _log_weights(n)[idx].view(np.uint64))
+        assert not r_weights.flags.writeable
+        with pytest.raises(ValueError):
+            r_weights[1, 0] = 0.0
 
     def test_projection_reads_one_cached_trace_table(self, monkeypatch):
         calls = []
