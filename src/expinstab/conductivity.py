@@ -282,16 +282,17 @@ def _shell_maxima(values: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, 
 
 
 def fit_envelope(entries: np.ndarray, degrees: np.ndarray) -> EnvelopeFit:
-    """Fit |b_jk| <= C2 exp(-alpha2 max(gamma_j, gamma_k)): alpha2 from a
-    log-linear shell regression, C2 as the smallest constant making the
-    envelope exact (zero violations)."""
+    """Fit |b_jk| <= C2 exp(-alpha2 max(gamma_j, gamma_k)): alpha2 is minus
+    the ``line_fit`` slope of the shells' log maxima against their levels
+    (floored at 1e-12; 1 with fewer than two shells), C2 the smallest
+    constant making the envelope exact (zero violations)."""
     levels, maxima = _shell_maxima(entries, degrees)
     keep = maxima > 1e-14
     levels, maxima = levels[keep], maxima[keep]
     if levels.size < 2:
         alpha2 = 1.0  # no decay to regress on
     else:
-        slope, _ = np.polyfit(levels, np.log(maxima), 1)
+        slope, _, _ = line_fit(levels, np.log(maxima))
         alpha2 = float(max(-slope, 1e-12))
     fit = EnvelopeFit(0.0, alpha2, levels, maxima)
     return replace(fit, c2=fit.c2_at(alpha2))
@@ -299,13 +300,16 @@ def fit_envelope(entries: np.ndarray, degrees: np.ndarray) -> EnvelopeFit:
 
 def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line y ~ slope * x + intercept: (slope, intercept, R^2),
-    with R^2 = 1 when y is constant."""
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    with R^2 = 1 when y is constant.  Closed form about the means: x must
+    hold at least two distinct values."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx, dy = x - x_mean, y - y_mean
+    slope = float(dx @ dy / (dx @ dx))
+    intercept = float(y_mean - slope * x_mean)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum(dy**2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), float(intercept), r2
+    return slope, intercept, r2
 
 
 def diagonal_decay_fit(entries: np.ndarray, degrees: np.ndarray) -> tuple[float, float, float]:

@@ -383,13 +383,12 @@ def fit_instability_exponent(report: InstabilityReport) -> tuple[float, float]:
     the instability exponent.  The theoretical target 1/(4m) at N = 2 is
     carried in the report but not asserted (sampled minima need not attain
     the pigeonhole bound); norms at or above 1 are excluded as
-    non-exponential."""
+    non-exponential, and a line needs the usable norms at two distinct eps
+    at least (else nan, nan)."""
     eps = np.array([r.eps for r in report.records])
     norms = np.array([max(r.op_norm_diff, NORM_FLOOR) for r in report.records])
-    if eps.size < 2:
-        return math.nan, math.nan
     usable = norms < 1.0
-    if usable.sum() < 2:
+    if len(set(eps[usable].tolist())) < 2:
         return math.nan, math.nan
     slope, _, r2 = line_fit(np.log(1.0 / eps[usable]), np.log(-np.log(norms[usable])))
     return slope, r2

@@ -45,28 +45,56 @@ def build_bump(m: int, height: float, half_width: float, samples: int = 257) -> 
     return bump_values(m, height, half_width, t)
 
 
+# interior grid on which bump_derivative_maxima brackets critical points:
+# dyadic nodes, t = 0 among them
+ROOT_GRID = np.linspace(-1.0, 1.0, 1025)[1:-1]
+
+
+def _bisect_roots(desc: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets [lo, hi] of adjacent floats around each root of the
+    polynomial (descending coefficients) that vanishes on a grid node
+    (lo == hi there) or changes sign between neighbouring nodes."""
+    sign = np.sign(np.polyval(desc, grid))
+    at = np.concatenate([np.flatnonzero(sign == 0), np.flatnonzero(sign[:-1] * sign[1:] < 0)])
+    lo, hi, side = grid[at], grid[at + (sign[at] != 0)], sign[at]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not ((lo < mid) & (mid < hi)).any():
+            return lo, hi
+        same = np.sign(np.polyval(desc, mid)) == side
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+
+
 @lru_cache(maxsize=None)
 def bump_derivative_maxima(m: int) -> np.ndarray:
     """sup over [-1,1] of |d^k/dt^k (1-t^2)^(m+1)| for k = 0..m.
 
     Computed from the integer polynomial coefficients (exact in float64 for
-    every m in use): critical points are the real roots of the next
-    derivative, the eigenvalues of the companion matrix that numpy.polynomial
-    builds, so the bits are its own without its 0.9 MB of resident memory.
+    every m in use).  d^j (1-t^2)^(m+1) = (1-t^2)^(m+1-j) P_j(t), and by
+    Rolle's theorem P_j has j simple roots in (-1, 1); those of P_(k+1) are
+    the interior critical points of the k-th derivative.  Each is bracketed
+    on ROOT_GRID and bisected to adjacent floats, and the k-th derivative is
+    evaluated at both ends and at +-1.  A root the grid misses raises.
     """
     coef = np.zeros(2 * m + 3)  # ascending powers of t
     coef[::2] = [(-1) ** j * math.comb(m + 1, j) for j in range(m + 2)]
+    factor = np.ones(1)  # P_k, ascending powers of t
     out = np.empty(m + 1)
     for k in range(m + 1):
-        slope = np.arange(1, coef.size) * coef[1:]
-        companion = np.eye(slope.size - 1, k=-1)
-        companion[:, -1] -= slope[:-1] / slope[-1]
-        roots = np.linalg.eigvals(companion)
-        cand = roots[np.isreal(roots)].real
-        cand = cand[(cand >= -1.0) & (cand <= 1.0)]
-        pts = np.concatenate([cand, [-1.0, 1.0]])
+        # P_(k+1) = (1 - t^2) P_k' - 2 (m + 1 - k) t P_k
+        slope = np.arange(1, factor.size) * factor[1:]
+        factor, prev = np.zeros(factor.size + 1), factor
+        factor[: slope.size] += slope
+        factor[2:] -= slope
+        factor[1:] -= 2 * (m + 1 - k) * prev
+        lo, hi = _bisect_roots(factor[::-1], ROOT_GRID)
+        if lo.size != k + 1:
+            raise ArithmeticError(
+                f"bump order {m}: found {lo.size} roots of derivative {k + 1} in (-1, 1), not {k + 1}"
+            )
+        pts = np.concatenate([lo, hi, [-1.0, 1.0]])
         out[k] = np.abs(np.polyval(coef[::-1], pts)).max()
-        coef = slope
+        coef = np.arange(1, coef.size) * coef[1:]
     out.flags.writeable = False
     return out
 

@@ -481,6 +481,43 @@ class TestSubcommands:
         assert not (tmp_path / "out").exists()
 
 
+def test_runs_reach_no_eigen_or_least_squares_driver(tmp_path):
+    # the run path calls LAPACK only for dense solves and for the SVDs behind
+    # the 2-norm and cond: bump maxima come by bisection and line fits in
+    # closed form, so dgeev and dgelsd are never paged in
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('reached an eigen or least-squares driver')\n"
+        "np.linalg.eigvals = np.linalg.lstsq = np.polyfit = refuse\n"
+        "from expinstab import cli, shapes\n"
+        "out = sys.argv[1]\n"
+        "tiny = ['--eps-list', '0.1,0.05', '--budget', '4', '--n-max', '4', '--quad-nodes', '64',\n"
+        "        '--scatter-n-max', '4', '--scatter-quad', '64', '--directions', '8']\n"
+        "for problem in ('dtn', 'electrodes', 'farfield'):\n"
+        "    assert cli.main(['instability', '--problem', problem, *tiny, '--out', out + '/' + problem]) == 0\n"
+        "assert cli.main(['pack', '--eps-list', '0.1', '--samples', '4', '--grid-size', '256',\n"
+        "                 '--out', out + '/pack']) == 0\n"
+        "theta = 2 * np.pi * np.arange(256) / 256\n"
+        "for r in (0.5, 1.0):\n"
+        "    profile = shapes.RadialProfile(0.1 * r * (1 + np.cos(3 * theta)), base_radius=r)\n"
+        "    shapes.save_shape(shapes.Shape(shapes.RADIAL_SUBGRAPH, profile), f'{out}/shape{r}.txt')\n"
+        "assert cli.main(['forward', '--shape-file', out + '/shape0.5.txt', '--a', '2.0', '--n-max', '6',\n"
+        "                 '--quad-nodes', '64', '--out', out + '/forward']) == 0\n"
+        "assert cli.main(['scatter', '--shape-file', out + '/shape1.0.txt', '--a-list', '1.0',\n"
+        "                 '--scatter-n-max', '4', '--scatter-quad', '64', '--out', out + '/scatter']) == 0\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH="src")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], cwd=root, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    summary = dict(line.split(",") for line in (tmp_path / "dtn" / "summary.csv").read_text().splitlines())
+    assert float(summary["q_hat"]) > 0
+    assert "nan" not in (tmp_path / "forward" / "decay_fit.csv").read_text()
+
+
 def test_import_loads_no_scipy():
     # special.py is not a scipy facade: importing scipy.special raises the
     # peak RSS from about 30.5 to 52.5 MB and the import time by about 0.3 s
@@ -493,8 +530,9 @@ def test_import_loads_no_scipy():
 
 
 def test_runs_load_no_numpy_random(tmp_path):
-    # the patterns come from packing.random_bits: numpy.random would add
-    # 5.6 MB of resident memory to every run, numpy.polynomial 0.9 MB
+    # the patterns come from packing.random_bits and the bump maxima from
+    # bisection on integer polynomials: numpy.random would add 5.6 MB of
+    # resident memory to every run, numpy.polynomial 0.9 MB
     code = (
         "import sys\n"
         "from expinstab import cli\n"

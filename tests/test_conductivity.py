@@ -28,6 +28,7 @@ from expinstab.conductivity import (
     dtn_numeric,
     fit_envelope,
     fourier_degrees,
+    line_fit,
     ntd_from_dtn,
     resistance_matrix,
 )
@@ -458,8 +459,9 @@ class TestShellMaxima:
         assert 2.5 not in fit.levels and len(shells) == 12
         assert fit.levels.tolist() == [n for n, _ in shells]
         assert fit.maxima.tolist() == [m for _, m in shells]
-        slope, _ = np.polyfit(fit.levels, np.log(fit.maxima), 1)
+        slope, _, _ = line_fit(fit.levels, np.log(fit.maxima))
         assert fit.alpha2 == -slope
+        assert fit.alpha2 == pytest.approx(-np.polyfit(fit.levels, np.log(fit.maxima), 1)[0], rel=1e-12)
         assert fit.c2 == max(m * math.exp(fit.alpha2 * n) for n, m in shells)
 
     def test_diagonal_decay_fit(self):

@@ -79,6 +79,12 @@ class TestExponentFit:
         q_hat, r2 = fit_instability_exponent(report)
         assert math.isnan(q_hat) and math.isnan(r2)
 
+    def test_repeated_eps_fits_nothing(self):
+        # usable norms at one distinct eps give no line, however many they are
+        for eps, norms in (([0.1, 0.1], [1e-3, 1e-4]), ([0.1, 0.1, 0.05], [1e-3, 1e-4, 2.0])):
+            q_hat, r2 = fit_instability_exponent(synthetic_report(eps, norms))
+            assert math.isnan(q_hat) and math.isnan(r2)
+
 
 class TestRunInstability:
     def test_budget_two_returns_the_sampled_pair(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expinstab import shapes
+from expinstab import packing, shapes
 from expinstab.packing import (
     ShapeClass,
     build_bump,
@@ -32,6 +33,36 @@ def symbolic_bump_constant(m: int) -> float:
     return max(abs(float(dm.subs(t, p))) for p in pts)
 
 
+def symbolic_derivative_maxima(m: int) -> list[float]:
+    """Exact max over [-1, 1] of |d^k/dt^k (1-t^2)^(m+1)| for k = 0..m,
+    from the exact real roots of the next derivative, rounded once."""
+    t = sympy.symbols("t", real=True)
+    out = []
+    for k in range(m + 1):
+        dk = sympy.diff((1 - t**2) ** (m + 1), t, k)
+        pts = sympy.Poly(sympy.diff(dk, t), t).real_roots() + [-1, 1]
+        out.append(float(max(sympy.N(sympy.Abs(dk.subs(t, p)), 40) for p in pts)))
+    return out
+
+
+def eigvals_derivative_maxima(m: int) -> np.ndarray:
+    """The same maxima with the critical points taken as the eigenvalues of
+    the companion matrix of the next derivative."""
+    coef = np.zeros(2 * m + 3)
+    coef[::2] = [(-1) ** j * math.comb(m + 1, j) for j in range(m + 2)]
+    out = []
+    for _ in range(m + 1):
+        slope = np.arange(1, coef.size) * coef[1:]
+        companion = np.eye(slope.size - 1, k=-1)
+        companion[:, -1] -= slope[:-1] / slope[-1]
+        roots = np.linalg.eigvals(companion)
+        cand = roots[np.isreal(roots)].real
+        pts = np.concatenate([cand[(cand >= -1.0) & (cand <= 1.0)], [-1.0, 1.0]])
+        out.append(np.abs(np.polyval(coef[::-1], pts)).max())
+        coef = slope
+    return np.array(out)
+
+
 class TestBump:
     def test_zero_height(self):
         assert not build_bump(1, 0.0, 0.1).any()
@@ -44,6 +75,26 @@ class TestBump:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_norm_constant_vs_symbolic_oracle(self, m):
         assert bump_norm_constant(m) == pytest.approx(symbolic_bump_constant(m), rel=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_derivative_maxima_without_eigen_driver(self, m, monkeypatch):
+        # every k within 4e-16 of the exact maxima; at m <= 2 the bits of
+        # the eigenvalue method
+        eig_bits = eigvals_derivative_maxima(m)
+
+        def refuse(*args):
+            raise AssertionError("bump maxima reached an eigen driver")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        got = bump_derivative_maxima.__wrapped__(m)
+        np.testing.assert_allclose(got, symbolic_derivative_maxima(m), rtol=4e-16, atol=0)
+        assert m > 2 or np.array_equal(got, eig_bits)
+
+    def test_missed_root_raises(self, monkeypatch):
+        # the one node t = 0 finds the root of P_1 but not the two of P_2
+        monkeypatch.setattr(packing, "ROOT_GRID", np.zeros(1))
+        with pytest.raises(ArithmeticError, match="found 0 roots of derivative 2"):
+            bump_derivative_maxima.__wrapped__(1)
 
     def test_cached_derivative_maxima_are_read_only(self):
         with pytest.raises(ValueError):
