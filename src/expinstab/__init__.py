@@ -1,9 +1,9 @@
 """Desk-scale exponential-instability experiments for 2D elliptic inverse problems.
 
-The library builds discrete families of perturbed defects, spectral bases on
-reference domains, quantized operator nets, and forward maps (Dirichlet-to-
-Neumann, electrode resistance matrices, acoustic far fields), and combines
-them into end-to-end instability runs.
+The library builds discrete families of perturbed defects, the Fourier basis
+of the circle, quantized operator nets, and forward maps on the disk
+(Dirichlet-to-Neumann, electrode resistance matrices, acoustic far fields),
+and combines them into end-to-end instability runs.
 """
 
 from expinstab.shapes import (
@@ -15,7 +15,7 @@ from expinstab.shapes import (
     validate_membership,
 )
 from expinstab.packing import PackingFamily, build_packing, packing_lower_bound
-from expinstab.spectral import BasisSpec, BasisElement, enumerate_basis
+from expinstab.spectral import BasisElement, enumerate_basis
 from expinstab.opnet import NetParams, quantize, y_norm
 from expinstab.engine import InstabilityReport, run_instability, fit_instability_exponent
 
@@ -29,7 +29,6 @@ __all__ = [
     "PackingFamily",
     "build_packing",
     "packing_lower_bound",
-    "BasisSpec",
     "BasisElement",
     "enumerate_basis",
     "NetParams",

@@ -1,5 +1,5 @@
 """Command-line front end: config parsing, deterministic CSV output, and the
-pack / basis / net / forward / scatter / instability subcommands.
+pack / net / forward / scatter / instability subcommands.
 
 Each subcommand returns its tables, ``{file name: (header, rows)}``; ``main``
 writes them, then the config echo, to files under ``--out`` or, without
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from expinstab import engine, packing, shapes, spectral
+from expinstab import engine, packing, shapes
 from expinstab.conductivity import (
     ElectrodeConfig,
     InclusionProblem,
@@ -182,26 +182,11 @@ def _cmd_pack(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     return {"pack.csv": (["pattern_id", "hausdorff_to_base", "min_pairwise_sampled"], rows)}
 
 
-def _cmd_basis(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
-    elements = spectral.enumerate_basis(spectral.BasisSpec(cfg.domain, n_max=cfg.n_max))
-    return {
-        "basis_degrees.csv": (
-            ["index", "degree", "parity", "multiplicity"],
-            [(e.index, e.degree, e.parity, e.multiplicity) for e in elements],
-        ),
-        "basis_decay.csv": (
-            ["degree", "interior_decay"],
-            [(e.degree, spectral.interior_decay(e, cfg.r0)) for e in elements],
-        ),
-    }
-
-
 def _cmd_net(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     rows = []
     for delta in cfg.delta:
-        # every basis element of degree <= n_tilde on the domain, counted exactly
-        spec = spectral.BasisSpec(cfg.domain, n_max=n_tilde(delta, cfg.c2, cfg.alpha2))
-        degrees = np.array([e.degree for e in spectral.enumerate_basis(spec)])
+        # every circle basis element of degree <= n_tilde, counted exactly
+        degrees = fourier_degrees(n_tilde(delta, cfg.c2, cfg.alpha2))
         b = net_size_log_bound(delta, cfg.c2, cfg.alpha2, degrees=degrees)
         rows.append((delta, b.n_tilde, b.delta_prime, b.psi_count, b.pair_count, b.log_bound))
     header = ["delta", "n_tilde", "delta_prime", "psi_count", "pair_count", "log_bound"]
@@ -276,7 +261,6 @@ def _cmd_instability(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
 # name -> (help, function, whether it needs --out)
 SUBCOMMANDS = {
     "pack": ("build a packing family and sample it", _cmd_pack, False),
-    "basis": ("degree tables and decay curves", _cmd_basis, False),
     "net": ("net parameters and size bounds", _cmd_net, False),
     "forward": ("DtN and electrode forward maps", _cmd_forward, True),
     "scatter": ("far-field matrices", _cmd_scatter, False),

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from expinstab import shapes, spectral
+from expinstab import shapes
 from expinstab.conductivity import (
     CONTRAST_GUARD,
     ElectrodeConfig,
@@ -113,8 +113,6 @@ _RULES = {
     ),
     "c2": (lambda v: v > 0, "class constant must be positive"),
     "alpha2": (lambda v: v > 0, "class constant must be positive"),
-    "domain": (lambda v: v in spectral.DOMAIN_KINDS, f"must be one of {spectral.DOMAIN_KINDS}"),
-    "r0": (lambda v: 0 < v < 1, "r0 must lie in (0, 1)"),
 }
 
 
@@ -151,8 +149,6 @@ class ExperimentConfig:
     delta: tuple[float, ...] = (0.01,)
     c2: float = 1.0
     alpha2: float = 0.5
-    domain: str = spectral.FULL_CIRCLE
-    r0: float = 0.8
     out: str = ""
 
     def __post_init__(self):

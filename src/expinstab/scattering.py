@@ -39,7 +39,7 @@ import numpy as np
 from expinstab import shapes, special
 from expinstab.conductivity import checked_solve, fourier_degrees, kept_array
 from expinstab.shapes import BoundaryNodes, Shape
-from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
+from expinstab.spectral import enumerate_basis
 
 MAX_OBSTACLE_RADIUS = 1.8  # obstacles stay inside B(0, 9/5)
 
@@ -320,7 +320,7 @@ def _basis_traces(n_max: int, direction_count: int) -> np.ndarray:
     """Read-only traces of the circle basis up to n_max (rows) at the uniform
     direction grid (columns)."""
     angles = _direction_grid(direction_count)
-    elements = enumerate_basis(BasisSpec(FULL_CIRCLE, n_max=n_max))
+    elements = enumerate_basis(n_max)
     traces = np.stack([e.trace(angles) for e in elements])
     traces.flags.writeable = False
     return traces

@@ -10,40 +10,14 @@ from expinstab import cli, conductivity, engine, packing, shapes
 from expinstab.cli import ConfigError, ExperimentConfig, config_text, parse_config, write_csv
 from expinstab.shapes import save_shape
 
-# stdout of `net --delta 0.01,0.001,1e-6 --c2 1 --alpha2 0.5 --domain D`: net.csv,
-# then the config echo up to its BLAS comment line
-NET_CSV = {
-    "full_circle": (
-        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
-        "0.01,25,8.5405298916969183e-06,234177,2601,32158.328381040359\n"
-        "0.001,30,6.0801233311006377e-07,3289407,3721,55838.136669468455\n"
-        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,8281,187836.23804586398\n"
-    ),
-    "half_disk_neumann": (
-        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
-        "0.01,25,8.5405298916969183e-06,234177,676,8357.9507826156405\n"
-        "0.001,30,6.0801233311006377e-07,3289407,961,14420.975366664656\n"
-        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,2116,47996.79745260816\n"
-    ),
-    "half_disk_dirichlet": (
-        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
-        "0.01,25,8.5405298916969183e-06,234177,625,7727.3953241638692\n"
-        "0.001,30,6.0801233311006377e-07,3289407,900,13505.596077001239\n"
-        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,2025,45932.662968587676\n"
-    ),
-    "slit_disk_neumann": (
-        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
-        "0.01,25,8.5405298916969183e-06,234177,2601,32158.328381040359\n"
-        "0.001,30,6.0801233311006377e-07,3289407,3721,55838.136669468455\n"
-        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,8281,187836.23804586398\n"
-    ),
-    "slit_disk_dirichlet": (
-        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
-        "0.01,25,8.5405298916969183e-06,234177,2500,30909.581296655477\n"
-        "0.001,30,6.0801233311006377e-07,3289407,3600,54022.384308004956\n"
-        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,8100,183730.6518743507\n"
-    ),
-}
+# stdout of `net --delta 0.01,0.001,1e-6 --c2 1 --alpha2 0.5`: net.csv, then
+# the config echo up to its BLAS comment line
+NET_CSV = (
+    "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
+    "0.01,25,8.5405298916969183e-06,234177,2601,32158.328381040359\n"
+    "0.001,30,6.0801233311006377e-07,3289407,3721,55838.136669468455\n"
+    "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,8281,187836.23804586398\n"
+)
 NET_ECHO = (
     "problem=dtn\n"
     "kind=radial_subgraph\n"
@@ -68,8 +42,6 @@ NET_ECHO = (
     "delta=0.01,0.001,9.9999999999999995e-07\n"
     "c2=1\n"
     "alpha2=0.5\n"
-    "domain={domain}\n"
-    "r0=0.80000000000000004\n"
 )
 
 
@@ -171,20 +143,23 @@ class TestSubcommands:
         rows = capsys.readouterr().out.splitlines()[1:3]
         assert [(r.split(",")[1], r.split(",")[4]) for r in rows] == [("25", "2601"), ("30", "3721")]
 
-    @pytest.mark.parametrize("domain", list(NET_CSV))
-    def test_net_stdout_is_pinned(self, domain, capsys):
-        argv = ["net", "--delta", "0.01,0.001,1e-6", "--c2", "1", "--alpha2", "0.5", "--domain", domain]
+    def test_net_stdout_is_pinned(self, capsys):
+        argv = ["net", "--delta", "0.01,0.001,1e-6", "--c2", "1", "--alpha2", "0.5"]
         assert cli.main(argv) == 0
         body, blas = capsys.readouterr().out.split("# blas=")
-        assert body == NET_CSV[domain] + NET_ECHO.format(domain=domain)
+        assert body == NET_CSV + NET_ECHO
         assert blas.count("\n") == 1 and blas.endswith("\n")
 
     def test_p_is_not_a_setting(self, tmp_path, capsys):
-        # p = 1 in the plane: the key and its flag are gone
-        config = tmp_path / "p.cfg"
-        config.write_text("p=1\n")
-        for argv in (["net", "--p", "1"], ["--config", str(config), "net"]):
-            assert cli.main(argv) == 2
+        # p = 1 in the plane, and every basis is the circle's: these keys,
+        # their flags and the basis subcommand are gone
+        argvs = [["basis"], ["net", "--domain", "full_circle"], ["net", "--r0", "0.8"]]
+        for name, text in [("p", "p=1\n"), ("domain", "domain=full_circle\n"), ("r0", "r0=0.8\n")]:
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(text)
+            argvs.append(["--config", str(config), "net"])
+        for argv in (["net", "--p", "1"], *argvs):
+            assert cli.main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1
 
@@ -235,14 +210,6 @@ class TestSubcommands:
         for row, shape in zip(rows, built):
             brute = min(real(shape, other, samples=64) for other in built if other is not shape)
             assert float(row.split(",")[2]) == brute
-
-    def test_basis_outputs(self, tmp_path):
-        code = cli.main(["--out", str(tmp_path), "basis", "--domain", "slit_disk_neumann", "--n-max", "3"])
-        assert code == 0
-        degrees = (tmp_path / "basis_degrees.csv").read_text().splitlines()
-        assert degrees[0] == "index,degree,parity,multiplicity"
-        assert len(degrees) == 8  # degrees 0, 1/2, ..., 3
-        assert (tmp_path / "basis_decay.csv").exists()
 
     def test_forward_and_scatter_roundtrip(self, tmp_path):
         shape = shapes.Shape(
@@ -388,10 +355,6 @@ class TestSubcommands:
                 ["pack.csv"],
             ),
             (
-                ["basis", "--domain", "slit_disk_neumann", "--n-max", "3"],
-                ["basis_degrees.csv", "basis_decay.csv"],
-            ),
-            (
                 ["net", "--delta", "0.01,0.001", "--c2", "1", "--alpha2", "0.5"],
                 ["net.csv"],
             ),
@@ -401,7 +364,7 @@ class TestSubcommands:
                 ["farfield_magnitudes.csv", "reciprocity.csv"],
             ),
         ],
-        ids=["pack", "basis", "net", "scatter"],
+        ids=["pack", "net", "scatter"],
     )
     def test_stdout_is_the_files_in_order(self, argv, names, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expinstab import shapes, spectral
+from expinstab import shapes
 from expinstab.conductivity import (
     CONTRAST_GUARD,
     ElectrodeConfig,
@@ -425,9 +425,8 @@ def brute_shell_maxima(values, degrees):
 
 
 class TestShellMaxima:
-    # slit-disk degrees 0, 1/2, 1, ..., 6; the degree-2.5 shell is dropped
-    DEGREES = np.array([e.degree for e in spectral.enumerate_basis(
-        spectral.BasisSpec(spectral.SLIT_DISK_NEUMANN, n_max=6))])
+    # half-integer degrees 0, 1/2, 1, ..., 6; the degree-2.5 shell is dropped
+    DEGREES = np.arange(13) / 2.0
 
     def matrix(self, seed):
         rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) == 6
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])

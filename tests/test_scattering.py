@@ -26,7 +26,7 @@ from expinstab.scattering import (
     reciprocity_residual,
     solve_scattering,
 )
-from expinstab.spectral import BasisSpec, FULL_CIRCLE, enumerate_basis
+from expinstab.spectral import enumerate_basis
 
 FIRST_J0_ZERO = 2.404825557695773
 
@@ -58,7 +58,7 @@ class TestDiskFarField:
     def test_reciprocity_of_reconstructed_pattern(self):
         mat = farfield_disk(1.0, 4.0, 10)
         angles = 2 * np.pi * np.arange(64) / 64
-        elements = enumerate_basis(BasisSpec(FULL_CIRCLE, n_max=10))
+        elements = enumerate_basis(10)
         traces = np.stack([e.trace(angles) for e in elements])
         grid = traces.T @ mat @ traces
         assert reciprocity_residual(grid) <= 1e-13
@@ -384,9 +384,9 @@ class TestKernelBitIdentity:
     def test_projection_reads_one_cached_trace_table(self, monkeypatch):
         calls = []
 
-        def counted(spec):
-            calls.append(spec)
-            return enumerate_basis(spec)
+        def counted(n_max):
+            calls.append(n_max)
+            return enumerate_basis(n_max)
 
         monkeypatch.setattr(scattering, "enumerate_basis", counted)
         _basis_traces.cache_clear()
@@ -397,7 +397,7 @@ class TestKernelBitIdentity:
         assert not _basis_traces(8, 16).flags.writeable
         # the traces built per solve, as the projection once did, give the same bits
         w = 2 * np.pi / 16
-        elements = enumerate_basis(BasisSpec(FULL_CIRCLE, n_max=8))
+        elements = enumerate_basis(8)
         for a, mat in zip(prob.wave_params, got):
             sol = solve_scattering(prob.shape, a, 64, 16)
             traces = np.stack([e.trace(sol.directions) for e in elements])
