@@ -11,13 +11,15 @@ from expinstab.cli import ConfigError, ExperimentConfig, config_text, parse_conf
 from expinstab.shapes import save_shape
 
 # stdout of `net --delta 0.01,0.001,1e-6 --c2 1 --alpha2 0.5`: net.csv, then
-# the config echo up to its BLAS comment line
-NET_CSV = (
-    "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
-    "0.01,25,8.5405298916969183e-06,234177,2601,32158.328381040359\n"
-    "0.001,30,6.0801233311006377e-07,3289407,3721,55838.136669468455\n"
-    "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,8281,187836.23804586398\n"
-)
+# the config echo up to its BLAS comment line; the basis is the circle's
+NET_CSV = {
+    "full_circle": (
+        "delta,n_tilde,delta_prime,psi_count,pair_count,log_bound\n"
+        "0.01,25,8.5405298916969183e-06,234177,2601,32158.328381040359\n"
+        "0.001,30,6.0801233311006377e-07,3289407,3721,55838.136669468455\n"
+        "9.9999999999999995e-07,45,2.8184908515378236e-10,7095996067,8281,187836.23804586398\n"
+    ),
+}
 NET_ECHO = (
     "problem=dtn\n"
     "kind=radial_subgraph\n"
@@ -143,11 +145,12 @@ class TestSubcommands:
         rows = capsys.readouterr().out.splitlines()[1:3]
         assert [(r.split(",")[1], r.split(",")[4]) for r in rows] == [("25", "2601"), ("30", "3721")]
 
-    def test_net_stdout_is_pinned(self, capsys):
+    @pytest.mark.parametrize("basis", list(NET_CSV))
+    def test_net_stdout_is_pinned(self, basis, capsys):
         argv = ["net", "--delta", "0.01,0.001,1e-6", "--c2", "1", "--alpha2", "0.5"]
         assert cli.main(argv) == 0
         body, blas = capsys.readouterr().out.split("# blas=")
-        assert body == NET_CSV + NET_ECHO
+        assert body == NET_CSV[basis] + NET_ECHO
         assert blas.count("\n") == 1 and blas.endswith("\n")
 
     def test_p_is_not_a_setting(self, tmp_path, capsys):

@@ -6,6 +6,21 @@ from expinstab.spectral import enumerate_basis
 
 
 class TestEnumeration:
+    def test_full_circle_constant_only(self):
+        elems = enumerate_basis(0)
+        assert len(elems) == 1 and elems[0].degree == 0.0
+
+    def test_full_circle_n3_has_seven(self):
+        elems = enumerate_basis(3)
+        assert len(elems) == 7
+        assert [e.degree for e in elems] == [0, 1, 1, 2, 2, 3, 3]
+        assert [e.parity for e in elems[1:3]] == ["cos", "sin"]
+
+    def test_degrees_nondecreasing_everywhere(self):
+        for n_max in (0, 1, 9, 45):
+            degrees = [e.degree for e in enumerate_basis(n_max)]
+            assert degrees == sorted(degrees)
+
     @pytest.mark.parametrize("n_max", [0, 1, 3, 12, 32, 45])
     def test_degrees_are_fourier_degrees(self, n_max):
         # the net counts fourier_degrees and the far field projects on this
