@@ -26,7 +26,8 @@ disk = shapes.Shape(
     shapes.RADIAL_SUBGRAPH, shapes.RadialProfile(np.zeros(2048), base_radius=0.5)
 )
 prob = InclusionProblem(disk, contrast=2.0, n_max=8, quad_nodes=256)
-numeric = np.diag(dtn_numeric(prob))[1::2]
+# dtn_numeric gives the difference from the homogeneous disk's diag(degrees)
+numeric = fourier_degrees(8)[1::2] + np.diag(dtn_numeric(prob))[1::2]
 closed = dtn_concentric(0.5, 2.0, 8)[1:]
 print("DtN eigenvalues (concentric rho = 0.5, a = 2):")
 print("  numeric :", " ".join(f"{v:.6f}" for v in numeric))
@@ -49,8 +50,14 @@ vals -= vals.min()
 vals *= 0.1 / vals.max()
 bumpy = shapes.Shape(shapes.RADIAL_SUBGRAPH, shapes.RadialProfile(vals, base_radius=0.5))
 cfg = ElectrodeConfig.equispaced(8, 0.5, 0.1)
-r_hom = resistance_matrix(ntd_from_dtn(dtn_numeric(InclusionProblem(disk, 2.0, 16, 256))), cfg)
-r_inc = resistance_matrix(ntd_from_dtn(dtn_numeric(InclusionProblem(bumpy, 2.0, 16, 256))), cfg)
+
+
+def resistance(shape):
+    dtn = np.diag(fourier_degrees(16)) + dtn_numeric(InclusionProblem(shape, 2.0, 16, 256))
+    return resistance_matrix(ntd_from_dtn(dtn), cfg)
+
+
+r_hom, r_inc = resistance(disk), resistance(bumpy)
 print("\ncomplete electrode model (L = 8 arcs, z = 0.1):")
 print(f"  symmetry defect       : {np.abs(r_inc - r_inc.T).max():.2e}")
 print(f"  R [1]                 : {np.abs(r_inc @ np.ones(8)).max():.2e}")

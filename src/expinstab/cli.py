@@ -195,8 +195,9 @@ def _cmd_net(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
 
 def _cmd_forward(cfg: ExperimentConfig, shape_file: str | None) -> Tables:
     prob = _shape_problem(InclusionProblem, shape_file, cfg.a, cfg.n_max, cfg.quad_nodes)
-    dtn = dtn_numeric(prob)
-    weighted = weighted_delta(dtn, cfg.n_max)
+    delta = dtn_numeric(prob)
+    dtn = np.diag(fourier_degrees(cfg.n_max)) + delta
+    weighted = weighted_delta(delta, cfg.n_max)
     alpha_hat, c_hat, r2 = diagonal_decay_fit(weighted, fourier_degrees(cfg.n_max))
     fit_rows = [("alpha_hat", alpha_hat), ("c_hat", c_hat), ("r_squared", r2)]
     ecfg = ElectrodeConfig.equispaced(cfg.electrodes, cfg.electrode_coverage, cfg.electrode_z)

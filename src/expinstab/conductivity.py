@@ -204,16 +204,18 @@ def _mode_traces(nodes: BoundaryNodes, n_max: int):
 
 
 def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
-    """Matrix <Lambda(D) e_j, e_k> in the ordered circle basis
-    [1, cos, sin, ..., cos n_max, sin n_max] (L^2-normalized).
+    """Difference matrix <(Lambda(D) - Lambda_0) e_j, e_k> in the ordered
+    circle basis [1, cos, sin, ..., cos n_max, sin n_max] (L^2-normalized),
+    where Lambda_0 = diag(fourier_degrees(n_max)) is the DtN map of the
+    homogeneous disk.  The DtN matrix is Lambda_0 plus this difference,
+    which keeps the difference's low bits on the diagonal.
 
-    Reduces to dtn_concentric on constant profiles; symmetric up to
-    quadrature error.
+    Plus Lambda_0 it reduces to dtn_concentric on constant profiles;
+    symmetric up to quadrature error.
     """
     n_max = prob.n_max
-    base = np.diag(fourier_degrees(n_max))
     if prob.contrast == 1.0:
-        return base
+        return np.zeros((2 * n_max + 1, 2 * n_max + 1))
     nodes = shapes.boundary_nodes(prob.shape.profile, prob.quad_nodes)
     lam_c = (prob.contrast + 1.0) / (2.0 * (prob.contrast - 1.0))
     n = prob.quad_nodes
@@ -223,8 +225,7 @@ def dtn_numeric(prob: InclusionProblem) -> np.ndarray:
     values, d_normal = _mode_traces(nodes, n_max)
     # phi is minus the density; negation is exact, so no bit of delta moves
     phi = checked_solve(system, d_normal, "transmission")
-    delta = (values * nodes.weights[:, None]).T @ phi
-    return base + delta
+    return (values * nodes.weights[:, None]).T @ phi
 
 
 def delta_dtn_weighted(prob: InclusionProblem) -> np.ndarray:
@@ -232,13 +233,11 @@ def delta_dtn_weighted(prob: InclusionProblem) -> np.ndarray:
     return weighted_delta(dtn_numeric(prob), prob.n_max)
 
 
-def weighted_delta(dtn: np.ndarray, n_max: int) -> np.ndarray:
+def weighted_delta(delta: np.ndarray, n_max: int) -> np.ndarray:
     """Weighted difference matrix b_jk = <(Lambda(D) - Lambda_0) e_j, e_k>
-    / sqrt((1+gamma_j)(1+gamma_k)) of a computed DtN matrix, rows and
-    columns in fourier_degrees(n_max) order."""
-    degrees = fourier_degrees(n_max)
-    delta = dtn - np.diag(degrees)
-    weights = 1.0 / np.sqrt(1.0 + degrees)
+    / sqrt((1+gamma_j)(1+gamma_k)) of a difference matrix from dtn_numeric,
+    rows and columns in fourier_degrees(n_max) order."""
+    weights = 1.0 / np.sqrt(1.0 + fourier_degrees(n_max))
     return delta * np.outer(weights, weights)
 
 
@@ -441,7 +440,8 @@ def _electrode_operators(cfg: ElectrodeConfig, n_max: int) -> tuple[np.ndarray, 
 def resistance_matrix(ntd_matrix: np.ndarray, cfg: ElectrodeConfig) -> np.ndarray:
     """L x L resistance matrix of the complete electrode model.
 
-    ``ntd_matrix`` is ``ntd_from_dtn(dtn_numeric(prob))``: the 2 n_max x
+    ``ntd_matrix`` is ``ntd_from_dtn(dtn)`` of the DtN matrix
+    ``diag(fourier_degrees(n_max)) + dtn_numeric(prob)``: the 2 n_max x
     2 n_max mean-zero block, which fixes the truncation n_max.  Solves
     (Id + K(D)) phi = I_tilde in the truncated Fourier space, where K(D)
     applies the Neumann-to-Dirichlet map arc-wise with impedance weights,

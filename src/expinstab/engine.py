@@ -70,8 +70,14 @@ BOUND_SLACK = 1e-10
 
 # measurements per block of pair differences in the witness search's bounds:
 # the block, not a whole stack's worth of differences, is the search's
-# transient (16 x 65 x 65 doubles, 0.5 MB, at dtn n_max 32)
+# transient (16 x 25 x 25 doubles, 80 kB, at dtn n_max 32)
 ROWS = 16
+
+# rows and columns of each measurement that the witness search keeps: the
+# leading block, degrees <= 12 in fourier_degrees order.  A block's column,
+# 2- and Frobenius norms bound the full matrix's from below, so the search
+# prunes on blocks and solves again only the shapes it measures exactly
+LEAD = 25
 
 
 class ConfigError(ValueError):
@@ -183,9 +189,11 @@ def _make_forward(cfg: ExperimentConfig):
     and a lower bound on that distance evaluated in bulk on a stack of
     measurement differences."""
     if cfg.problem in ("dtn", "ntd", "electrodes"):
-        mean_zero_degrees = fourier_degrees(cfg.n_max)[1:]
-        degrees = fourier_degrees(cfg.n_max) if cfg.problem == "dtn" else mean_zero_degrees
+        dtn_degrees = fourier_degrees(cfg.n_max)
+        mean_zero_degrees = dtn_degrees[1:]
+        degrees = dtn_degrees if cfg.problem == "dtn" else mean_zero_degrees
         ecfg = ElectrodeConfig.equispaced(cfg.electrodes, cfg.electrode_coverage, cfg.electrode_z)
+        dtn_base = np.diag(dtn_degrees)  # the homogeneous disk's DtN matrix
         ntd_base = np.diag(1.0 / mean_zero_degrees)
 
         def forward(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +201,7 @@ def _make_forward(cfg: ExperimentConfig):
             if cfg.problem == "dtn":
                 weighted = delta_dtn_weighted(prob)
                 return weighted, weighted
-            ntd = ntd_from_dtn(dtn_numeric(prob))
+            ntd = ntd_from_dtn(dtn_base + dtn_numeric(prob))
             measurement = ntd if cfg.problem == "ntd" else resistance_matrix(ntd, ecfg)
             return measurement, ntd - ntd_base
 
@@ -273,25 +281,50 @@ def _pair_bounds(stack: np.ndarray, lower_bound) -> np.ndarray:
     ])
 
 
-def _min_norm_pair(stack: np.ndarray, dist, lower_bound) -> tuple[int, int, float]:
-    """The pair i < j of measurements ``stack[i]``, ``stack[j]`` of smallest
-    ``dist`` and that distance; among equal distances the lexicographically
-    first pair wins.
+def _min_norm_pair(blocks: np.ndarray, dist, lower_bound, exact=None) -> tuple[int, int, float]:
+    """The pair i < j of measurements of smallest distance and that
+    distance; among equal distances the lexicographically first pair wins.
 
-    Pairs are visited in ascending order of ``lower_bound`` and ``dist`` is
-    taken only while the bound, shrunk by ``BOUND_SLACK``, can still reach
-    the best distance found, so the result is the exhaustive search's.
+    ``blocks[k]`` is measurement k itself when ``exact`` is None.  Otherwise
+    it is a leading block of measurement k, whose ``dist`` and
+    ``lower_bound`` bound the full measurements' from below, and
+    ``exact(i, j)`` is the distance of the full measurements i and j.
+    Pairs are visited in ascending order of ``lower_bound``.  A pair is
+    measured only while its bound, shrunk by ``BOUND_SLACK``, can still
+    reach the best distance found, and measured exactly only when its block
+    distance, shrunk alike, can too; so the result is the exhaustive
+    search's over the full measurements.
     """
-    rows, cols = np.triu_indices(len(stack), 1)
-    bounds = _pair_bounds(stack, lower_bound)
+    rows, cols = np.triu_indices(len(blocks), 1)
+    bounds = _pair_bounds(blocks, lower_bound)
     best = (math.inf, 0, 1)
     for k in np.argsort(bounds, kind="stable"):
         if bounds[k] * (1.0 - BOUND_SLACK) > best[0]:
             break
         i, j = int(rows[k]), int(cols[k])
-        best = min(best, (dist(stack[i], stack[j]), i, j))
+        d = dist(blocks[i], blocks[j])
+        if exact is not None:
+            if d * (1.0 - BOUND_SLACK) > best[0]:
+                continue
+            d = exact(i, j)
+        best = min(best, (d, i, j))
     d, i, j = best
     return i, j, d
+
+
+def _solved_again(forward, dist, family, patterns):
+    """``exact(i, j)``: the distance of the full measurements of patterns i
+    and j, each pattern's shape solved again on first use and kept as long
+    as ``exact`` is."""
+    solved = {}
+
+    def exact(i: int, j: int) -> float:
+        for k in (i, j):
+            if k not in solved:
+                solved[k] = forward(family.shape(patterns[k]))[0]
+        return dist(solved[i], solved[j])
+
+    return exact
 
 
 def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
@@ -300,6 +333,13 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
     class matrix, and record the pair minimizing the measurement-space
     distance.  Deterministic: identical configs (seed included) give
     identical reports.
+
+    Only each measurement's leading ``LEAD`` x ``LEAD`` block is kept.
+    When that block is the whole measurement (electrodes, and far fields
+    at ``scatter_n_max`` <= 12) the search measures the kept stack.
+    Otherwise the shapes of the pairs it must measure exactly are solved
+    again, once per pattern, and dropped after the search; a solve is
+    bit for bit reproducible at a fixed BLAS thread count.
     """
     cls = cfg.shape_class()
     check_eps_list(cls, cfg.eps_list)
@@ -312,18 +352,23 @@ def run_instability(cfg: ExperimentConfig) -> InstabilityReport:
         family = build_packing(cls, float(eps))
         eps0 = family.eps0
         patterns = family.sample_patterns([cfg.seed, index], cfg.budget)
-        # measurements go straight into one array: a list stacked afterwards
-        # keeps its copy on the heap through the pair search (6.8 MB at dtn
-        # budget 200).  No shape outlives its solve and no class matrix its
-        # fit; the witness pair's shapes are built again from their patterns.
+        # only the leading blocks are kept, in one array: 1.0 MB at dtn
+        # budget 200, where the full measurements took 6.8 MB.  No shape
+        # outlives its solve and no class matrix its fit; the shapes that
+        # the search measures exactly and the witness pair's are built
+        # again from their patterns.
         stack, eps_fits = None, []
         for k, pattern in enumerate(patterns):
             measurement, class_matrix = forward(family.shape(pattern))
+            lead = measurement[..., :LEAD, :LEAD]
             if stack is None:
-                stack = np.empty((len(patterns), *measurement.shape), measurement.dtype)
-            stack[k] = measurement
+                stack = np.empty((len(patterns), *lead.shape), measurement.dtype)
+            stack[k] = lead
             eps_fits.append(fit_envelope(class_matrix, degrees))
-        i, j, best = _min_norm_pair(stack, dist, lower_bound)
+        whole = stack.shape[1:] == measurement.shape
+        exact = None if whole else _solved_again(forward, dist, family, patterns)
+        i, j, best = _min_norm_pair(stack, dist, lower_bound, exact)
+        exact = None  # drops the measurements solved again
         floored = best < NORM_FLOOR
         best = max(best, NORM_FLOOR)
         shape_i, shape_j = family.shape(patterns[i]), family.shape(patterns[j])

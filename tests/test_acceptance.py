@@ -66,6 +66,11 @@ def report(line: str) -> None:
     print(f"\n[acceptance] {line}")
 
 
+def dtn_matrix(prob):
+    """The DtN matrix: the homogeneous disk's diag(degrees) plus dtn_numeric's difference."""
+    return np.diag(fourier_degrees(prob.n_max)) + dtn_numeric(prob)
+
+
 def smooth_inclusion(rng, r=0.5, cap=0.1, modes=6, grid=2048):
     theta = 2 * np.pi * np.arange(grid) / grid
     vals = np.zeros(grid)
@@ -158,7 +163,7 @@ def test_criterion_4_conductivity_oracle():
         8,
         256,
     )
-    mat = dtn_numeric(prob)
+    mat = dtn_matrix(prob)
     lam = dtn_concentric(0.5, 2.0, 8)
     expected = np.concatenate([[lam[0]], np.repeat(lam[1:], 2)])
     rel = np.abs(np.diag(mat)[1:] - expected[1:]) / np.abs(expected[1:])
@@ -167,7 +172,7 @@ def test_criterion_4_conductivity_oracle():
     worst_sym = 0.0
     for _ in range(20):
         shape = smooth_inclusion(rng)
-        mat = dtn_numeric(InclusionProblem(shape, 2.0, 16, 384))
+        mat = dtn_matrix(InclusionProblem(shape, 2.0, 16, 384))
         worst_sym = max(worst_sym, float(np.abs(mat - mat.T).max()))
     assert worst_sym <= 1e-6
     report(
@@ -210,7 +215,7 @@ def test_criterion_6_ntd_identities():
     rng = np.random.default_rng(41)
     dtns, ntds = [], []
     for _ in range(12):
-        d = dtn_numeric(InclusionProblem(smooth_inclusion(rng), 2.0, 12, 256))
+        d = dtn_matrix(InclusionProblem(smooth_inclusion(rng), 2.0, 12, 256))
         dtns.append(d[1:, 1:])
         ntds.append(ntd_from_dtn(d))
     pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)][:50]
@@ -234,7 +239,7 @@ def test_criterion_7_electrode_model():
     worst_sym, worst_kernel = 0.0, 0.0
     for _ in range(20):
         prob = InclusionProblem(smooth_inclusion(rng), 2.0, 16, 256)
-        ntd = ntd_from_dtn(dtn_numeric(prob))
+        ntd = ntd_from_dtn(dtn_matrix(prob))
         r_mat = resistance_matrix(ntd, cfg)
         worst_sym = max(worst_sym, float(np.abs(r_mat - r_mat.T).max()))
         worst_kernel = max(worst_kernel, float(np.abs(r_mat @ np.ones(8)).max()))

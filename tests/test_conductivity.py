@@ -36,6 +36,11 @@ from expinstab.packing import ShapeClass, build_packing
 from expinstab.shapes import RadialProfile, Shape
 
 
+def dtn_matrix(prob):
+    """The DtN matrix: the homogeneous disk's diag(degrees) plus dtn_numeric's difference."""
+    return np.diag(fourier_degrees(prob.n_max)) + dtn_numeric(prob)
+
+
 def disk_shape(values, r=0.5, center=(0.0, 0.0)):
     prof = RadialProfile(np.asarray(values, dtype=float), base_radius=r, center=center)
     return Shape(shapes.RADIAL_SUBGRAPH, prof)
@@ -289,15 +294,15 @@ class TestDtnNumeric:
             InclusionProblem(smooth_inclusion(rng, center=(0.02 * k, -0.01 * k)), 2.0, 8, 128)
             for k in range(8)
         ]
-        serial = [dtn_numeric(p) for p in probs]
-        dtn_numeric(InclusionProblem(probs[0].shape, 2.0, 8, 96))
-        backwards = [dtn_numeric(p) for p in probs[::-1]][::-1]
+        serial = [dtn_matrix(p) for p in probs]
+        dtn_matrix(InclusionProblem(probs[0].shape, 2.0, 8, 96))
+        backwards = [dtn_matrix(p) for p in probs[::-1]][::-1]
         assert all(np.array_equal(a, b) for a, b in zip(serial, backwards))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(dtn_numeric, p) for p in probs * 4]
+                futures = [pool.submit(dtn_matrix, p) for p in probs * 4]
                 concurrent = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
@@ -307,13 +312,30 @@ class TestDtnNumeric:
 
     def test_concentric_oracle(self):
         prob = InclusionProblem(disk_shape(np.zeros(2048)), 2.0, 8, 256)
-        mat = dtn_numeric(prob)
+        mat = dtn_matrix(prob)
         lam = dtn_concentric(0.5, 2.0, 8)
         expected = np.concatenate([[lam[0]], np.repeat(lam[1:], 2)])
         rel = np.abs(np.diag(mat)[1:] - expected[1:]) / np.abs(expected[1:])
         assert rel.max() <= 1e-10
         off = mat - np.diag(np.diag(mat))
         assert np.abs(off).max() <= 1e-10
+
+    @pytest.mark.parametrize("radius", [0.5, 0.7])
+    def test_difference_diagonal_keeps_its_low_bits(self, radius):
+        # dtn_numeric returns the difference itself: its diagonal and the
+        # weighted one match the concentric closed form to round-off up to
+        # degree 32, where Lambda_0 + Delta - Lambda_0 kept none of its bits
+        # (measured 1.4e-15 relative at 128 nodes)
+        prob = InclusionProblem(disk_shape(np.zeros(2048), r=radius), 2.0, 32, 128)
+        degrees = fourier_degrees(32)
+        shrink = (1.0 - 2.0) / (1.0 + 2.0) * radius ** (2.0 * degrees)
+        closed = -2.0 * degrees * shrink / (1.0 + shrink)
+        for diagonal, expected in (
+            (np.diag(dtn_numeric(prob)), closed),
+            (np.diag(delta_dtn_weighted(prob)), closed / (1.0 + degrees)),
+        ):
+            assert diagonal[0] == 0.0
+            assert np.abs(diagonal[1:] / expected[1:] - 1.0).max() <= 1e-13
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -324,12 +346,12 @@ class TestDtnNumeric:
         prob = InclusionProblem(disk_shape(np.zeros(64), r=radius), contrast, 8, 64)
         lam = dtn_concentric(radius, contrast, 8)
         expected = np.diag(np.concatenate([[lam[0]], np.repeat(lam[1:], 2)]))
-        assert np.abs(dtn_numeric(prob) - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.abs(dtn_matrix(prob) - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_unit_contrast_returns_homogeneous_matrix(self):
         rng = np.random.default_rng(0)
         prob = InclusionProblem(smooth_inclusion(rng), 1.0, 6, 128)
-        mat = dtn_numeric(prob)
+        mat = dtn_matrix(prob)
         expected = np.diag(np.concatenate([[0.0], np.repeat(np.arange(1.0, 7.0), 2)]))
         np.testing.assert_allclose(mat, expected)
 
@@ -337,7 +359,7 @@ class TestDtnNumeric:
         rng = np.random.default_rng(1)
         for _ in range(4):
             prob = InclusionProblem(smooth_inclusion(rng), 2.0, 12, 384)
-            mat = dtn_numeric(prob)
+            mat = dtn_matrix(prob)
             assert np.abs(mat - mat.T).max() <= 1e-6
 
     @settings(max_examples=20, deadline=None)
@@ -352,13 +374,13 @@ class TestDtnNumeric:
         # 9.1e-10 at eps 0.05 and 256 nodes, 1.7e-10 at 512 nodes
         family = build_packing(ShapeClass(), eps)
         pattern = int(pick * (1 << family.cell_count))
-        mat = dtn_numeric(InclusionProblem(family.shape(pattern), contrast, 32, quad))
+        mat = dtn_matrix(InclusionProblem(family.shape(pattern), contrast, 32, quad))
         assert np.abs(mat - mat.T).max() <= 2e-9 * np.abs(mat).max()
 
     def test_positive_semidefinite_mean_zero(self):
         rng = np.random.default_rng(2)
         prob = InclusionProblem(smooth_inclusion(rng), 2.0, 10, 256)
-        mat = dtn_numeric(prob)
+        mat = dtn_matrix(prob)
         eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
         assert eigs.min() >= -1e-8
 
@@ -511,7 +533,7 @@ class TestArcOperators:
 class TestNtd:
     def test_homogeneous_disk_inverse(self):
         prob = InclusionProblem(disk_shape(np.zeros(512)), 1.0, 8, 128)
-        ntd = ntd_from_dtn(dtn_numeric(prob))
+        ntd = ntd_from_dtn(dtn_matrix(prob))
         expected = np.diag(np.repeat(1.0 / np.arange(1.0, 9.0), 2))
         np.testing.assert_allclose(ntd, expected, atol=1e-12)
 
@@ -524,7 +546,7 @@ class TestNtd:
     def test_inverse_of_mean_zero_block(self, seed, contrast, n_max):
         # measured worst residual 1.8e-15 over 60 such draws
         shape = smooth_inclusion(np.random.default_rng(seed), center=(0.1, 0.05))
-        dtn = dtn_numeric(InclusionProblem(shape, contrast, n_max, 192))
+        dtn = dtn_matrix(InclusionProblem(shape, contrast, n_max, 192))
         ntd, block = ntd_from_dtn(dtn), dtn[1:, 1:]
         eye = np.eye(2 * n_max)
         assert np.abs(ntd @ block - eye).max() <= 1e-13
@@ -534,8 +556,8 @@ class TestNtd:
         # N1 - N2 = N2 (L2 - L1) N1 holds exactly for truncated inverses
         rng = np.random.default_rng(4)
         for _ in range(5):
-            d1 = dtn_numeric(InclusionProblem(smooth_inclusion(rng), 2.0, 8, 192))
-            d2 = dtn_numeric(InclusionProblem(smooth_inclusion(rng), 2.0, 8, 192))
+            d1 = dtn_matrix(InclusionProblem(smooth_inclusion(rng), 2.0, 8, 192))
+            d2 = dtn_matrix(InclusionProblem(smooth_inclusion(rng), 2.0, 8, 192))
             n1, n2 = ntd_from_dtn(d1), ntd_from_dtn(d2)
             lhs = np.linalg.norm(n1 - n2, 2)
             identity = n2 @ (d2[1:, 1:] - d1[1:, 1:]) @ n1
@@ -547,7 +569,7 @@ class TestNtd:
         rng = np.random.default_rng(5)
         norms = []
         for _ in range(8):
-            dtn = dtn_numeric(InclusionProblem(smooth_inclusion(rng), 2.0, 8, 192))
+            dtn = dtn_matrix(InclusionProblem(smooth_inclusion(rng), 2.0, 8, 192))
             norms.append(np.linalg.norm(ntd_from_dtn(dtn), 2))
         fitted_c5 = max(norms)
         assert all(v <= fitted_c5 for v in norms)
@@ -558,7 +580,7 @@ class TestResistanceMatrix:
     def test_two_symmetric_electrodes_homogeneous(self):
         cfg = ElectrodeConfig(arcs=((0.0, 1.0), (math.pi, math.pi + 1.0)), impedances=(0.1, 0.1))
         prob = InclusionProblem(disk_shape(np.zeros(512)), 1.0, 16, 128)
-        r_mat = resistance_matrix(ntd_from_dtn(dtn_numeric(prob)), cfg)
+        r_mat = resistance_matrix(ntd_from_dtn(dtn_matrix(prob)), cfg)
         assert np.abs(r_mat - r_mat.T).max() <= 1e-12
         assert np.abs(r_mat @ np.ones(2)).max() <= 1e-14
         assert r_mat[0, 1] < 0
@@ -568,9 +590,9 @@ class TestResistanceMatrix:
         cfg = ElectrodeConfig.equispaced()
         shape = smooth_inclusion(rng)
         r_hom = resistance_matrix(
-            ntd_from_dtn(dtn_numeric(InclusionProblem(disk_shape(np.zeros(512)), 1.0, 16, 128))), cfg
+            ntd_from_dtn(dtn_matrix(InclusionProblem(disk_shape(np.zeros(512)), 1.0, 16, 128))), cfg
         )
-        r_inc = resistance_matrix(ntd_from_dtn(dtn_numeric(InclusionProblem(shape, 1.0, 16, 128))), cfg)
+        r_inc = resistance_matrix(ntd_from_dtn(dtn_matrix(InclusionProblem(shape, 1.0, 16, 128))), cfg)
         assert np.abs(r_hom - r_inc).max() <= 1e-10
 
     def test_symmetry_and_kernel_on_random_shapes(self):
@@ -578,7 +600,7 @@ class TestResistanceMatrix:
         cfg = ElectrodeConfig.equispaced()
         for _ in range(3):
             prob = InclusionProblem(smooth_inclusion(rng), 2.0, 16, 192)
-            r_mat = resistance_matrix(ntd_from_dtn(dtn_numeric(prob)), cfg)
+            r_mat = resistance_matrix(ntd_from_dtn(dtn_matrix(prob)), cfg)
             assert np.abs(r_mat - r_mat.T).max() <= 1e-10
             assert np.abs(r_mat @ np.ones(cfg.count)).max() <= 1e-12
 
@@ -608,7 +630,7 @@ class TestResistanceMatrix:
         mats, ntds = [], []
         for _ in range(5):
             prob = InclusionProblem(smooth_inclusion(rng), 2.0, 16, 192)
-            ntd = ntd_from_dtn(dtn_numeric(prob))
+            ntd = ntd_from_dtn(dtn_matrix(prob))
             mats.append(resistance_matrix(ntd, cfg))
             ntds.append(ntd)
         ratios = []

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from expinstab import engine
 from expinstab.conductivity import (
     InclusionProblem,
     delta_dtn_weighted,
@@ -13,6 +15,7 @@ from expinstab.conductivity import (
     ntd_from_dtn,
 )
 from expinstab.engine import (
+    LEAD,
     ROWS,
     ConfigError,
     ExperimentConfig,
@@ -171,7 +174,8 @@ def class_matrix(cfg, shape):
     if cfg.problem == "dtn":
         return np.abs(delta_dtn_weighted(prob)), fourier_degrees(cfg.n_max)
     degrees = fourier_degrees(cfg.n_max)[1:]
-    return np.abs(ntd_from_dtn(dtn_numeric(prob)) - np.diag(1.0 / degrees)), degrees
+    dtn = np.diag(fourier_degrees(cfg.n_max)) + dtn_numeric(prob)
+    return np.abs(ntd_from_dtn(dtn) - np.diag(1.0 / degrees)), degrees
 
 
 def smallest_class_c2(cfg, alpha2):
@@ -271,6 +275,18 @@ def draw_measurements(rng, layout, shape):
     return stack
 
 
+def draw_stack(problem, layout, count, size, seed):
+    """count measurements of the problem's kind in the given layout."""
+    rng = np.random.default_rng(seed)
+    if problem == "dtn":
+        return draw_measurements(rng, layout, (count, size, size))
+    # far fields: complex, one matrix per wave parameter
+    stack = draw_measurements(rng, layout, (count, 2, size, size)) * (3.0 + 4.0j)
+    if layout == "random":
+        stack += 1j * rng.normal(size=stack.shape)
+    return stack
+
+
 class TestPrunedPairSearch:
     """The pruned witness search returns the exhaustive loop's (i, j, d)."""
 
@@ -288,16 +304,35 @@ class TestPrunedPairSearch:
     @example(problem="dtn", layout="one_column", count=6, size=6, seed=0)
     def test_equals_exhaustive_search(self, problem, layout, count, size, seed):
         _, _, dist, lower_bound = _make_forward(ExperimentConfig(problem=problem))
-        rng = np.random.default_rng(seed)
-        if problem == "dtn":
-            stack = draw_measurements(rng, layout, (count, size, size))
-        else:
-            # far fields: complex, one matrix per wave parameter
-            stack = draw_measurements(rng, layout, (count, 2, size, size)) * (3.0 + 4.0j)
-            if layout == "random":
-                stack += 1j * rng.normal(size=stack.shape)
+        stack = draw_stack(problem, layout, count, size, seed)
         expected = exhaustive_pair(list(stack), dist)
         assert _min_norm_pair(stack, dist, lower_bound) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        problem=st.sampled_from(["dtn", "farfield"]),
+        layout=st.sampled_from(["random", "duplicates", "ties", "one_column"]),
+        count=st.integers(2, 14),
+        size=st.integers(1, 8),
+        lead=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(problem="dtn", layout="one_column", count=6, size=6, lead=6, seed=0)
+    @example(problem="dtn", layout="one_column", count=6, size=6, lead=3, seed=0)
+    def test_blocks_and_exact_distances_equal_exhaustive_search(
+        self, problem, layout, count, size, lead, seed
+    ):
+        # the search sees leading blocks and takes full distances from exact
+        _, _, dist, lower_bound = _make_forward(ExperimentConfig(problem=problem))
+        stack = draw_stack(problem, layout, count, size, seed)
+        blocks = stack[..., :lead, :lead]
+
+        def exact(i, j):
+            assert i < j
+            return dist(stack[i], stack[j])
+
+        expected = exhaustive_pair(list(stack), dist)
+        assert _min_norm_pair(blocks, dist, lower_bound, exact) == expected
 
     def test_equal_distances_go_to_the_first_pair(self):
         # (0, 2) has the smaller bound and is measured first; (0, 1) ties it
@@ -324,3 +359,97 @@ class TestChunkedBounds:
         stack = np.stack([forward(family.shape(p))[0] for p in patterns])
         one_pass = np.concatenate([lower_bound(stack[i + 1 :] - stack[i]) for i in range(count - 1)])
         assert np.array_equal(_pair_bounds(stack, lower_bound), one_pass)
+
+
+def traced_forward(monkeypatch):
+    """Lists filled by every run_instability after this: the (profile
+    bytes, measurement) of each forward solve in order, and the argument
+    pairs of each measurement distance taken."""
+    make = engine._make_forward
+    solves, distances = [], []
+
+    def wrapped(cfg):
+        forward, degrees, dist, lower_bound = make(cfg)
+
+        def counted_forward(shape):
+            result = forward(shape)
+            solves.append((shape.profile.values.tobytes(), result[0]))
+            return result
+
+        def counted_dist(m1, m2):
+            distances.append((m1, m2))
+            return dist(m1, m2)
+
+        return counted_forward, degrees, counted_dist, lower_bound
+
+    monkeypatch.setattr(engine, "_make_forward", wrapped)
+    return solves, distances
+
+
+class TestSolvedAgain:
+    """The witness search keeps each measurement's leading LEAD x LEAD block
+    and solves again only the shapes of the pairs it measures exactly."""
+
+    def test_resolves_are_the_distinct_shapes_of_exact_pairs(self, monkeypatch):
+        solves, distances = traced_forward(monkeypatch)
+        cfg = ExperimentConfig(
+            problem="dtn", n_max=32, quad_nodes=128, eps_list=(0.1,), budget=30, seed=5
+        )
+        (rec,) = run_instability(cfg).records
+        first, again = solves[: rec.sample_count], solves[rec.sample_count :]
+        full_shape = first[0][1].shape
+        assert full_shape == (65, 65) and LEAD < 65
+        exact_pairs = [pair for pair in distances if pair[0].shape == full_shape]
+        assert exact_pairs and again
+        # each solved-again shape is a sampled one, solved again once only
+        keys = [key for key, _ in again]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) <= {key for key, _ in first}
+        # and the exact distances are taken on exactly those measurements
+        solved_ids = {id(m) for _, m in again}
+        assert {id(m) for pair in exact_pairs for m in pair} == solved_ids
+        # the witness is the exhaustive search's over the full measurements
+        full = [m for _, m in first]
+        _, _, dist, _ = _make_forward(cfg)
+        i, j, d = exhaustive_pair(full, dist)
+        patterns = build_packing(cfg.shape_class(), 0.1).sample_patterns([cfg.seed, 0], cfg.budget)
+        assert (rec.pattern_a, rec.pattern_b, rec.op_norm_diff) == (patterns[i], patterns[j], d)
+
+    @pytest.mark.parametrize("problem", ["electrodes", "farfield"])
+    def test_whole_blocks_solve_nothing_again(self, monkeypatch, problem):
+        # the 8 x 8 resistance matrix and the 25 x 25 far fields at
+        # scatter_n_max 12 fit in the block: default sizes, no second solve
+        solves, distances = traced_forward(monkeypatch)
+        report = run_instability(ExperimentConfig(problem=problem, eps_list=(0.1,), budget=6, seed=5))
+        assert len(solves) == report.records[0].sample_count
+        assert max(m.shape[-1] for pair in distances for m in pair) <= LEAD
+
+    @pytest.mark.parametrize("problem", ["dtn", "ntd", "farfield"])
+    def test_a_shape_solved_again_has_the_same_bytes(self, problem):
+        """A shape solved again after other shapes have reused the kept work
+        arrays gives the bytes of its first solve.  Checked at the BLAS
+        thread count this test runs at; the engine solves again in the same
+        process, so at the same count."""
+        cfg = ExperimentConfig(problem=problem)
+        forward = _make_forward(cfg)[0]
+        family = build_packing(cfg.shape_class(), 0.05)
+        shapes = [family.shape(p) for p in family.sample_patterns(13, 4)]
+        first = forward(shapes[0])[0]
+        for shape in shapes[1:]:
+            forward(shape)
+        assert forward(shapes[0])[0].tobytes() == first.tobytes()
+
+    def test_search_holds_no_stack_of_full_measurements(self):
+        # 60 full dtn measurements at n_max 32 take 60 x 65 x 65 doubles; the
+        # traced peak of a whole run stays below that, so a run that stacks
+        # full measurements again fails here
+        cfg = ExperimentConfig(
+            problem="dtn", n_max=32, quad_nodes=64, eps_list=(0.1,), budget=60, seed=0
+        )
+        tracemalloc.start()
+        try:
+            run_instability(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 65 * 65 * 8
