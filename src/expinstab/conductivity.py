@@ -98,6 +98,21 @@ def fourier_degrees(n_max: int) -> np.ndarray:
     return np.concatenate([[0.0], np.repeat(np.arange(1.0, n_max + 1), 2)])
 
 
+def turn(matrix: np.ndarray, theta: float) -> np.ndarray:
+    """The matrix of a map turned by the angle theta, when matrix holds the
+    map in fourier_degrees order on its last two axes: the (cos n, sin n)
+    pair turns by n theta, on rows and on columns.  An odd size starts with
+    the constant mode; an even size is the mean-zero block."""
+    size = matrix.shape[-1]
+    angles = theta * np.arange(1, size // 2 + 1)
+    cos, sin = np.cos(angles), np.sin(angles)
+    rows = np.arange(size % 2, size, 2)  # the cos row of each pair
+    rotation = np.eye(size)
+    rotation[rows, rows] = rotation[rows + 1, rows + 1] = cos
+    rotation[rows + 1, rows], rotation[rows, rows + 1] = sin, -sin
+    return rotation @ matrix @ rotation.T
+
+
 def dtn_concentric(rho: float, a: float, n_max: int) -> np.ndarray:
     """Dirichlet-to-Neumann eigenvalues for the concentric inclusion of
     radius rho: lambda_n = n (1 - mu rho^(2n)) / (1 + mu rho^(2n)),
@@ -261,11 +276,13 @@ class EnvelopeFit:
 def _shells(degrees: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Read-only distinct degrees (ascending) and the flat shell index of
     each entry of the pairwise maxima max(gamma_j, gamma_k) of the float64
-    degrees with these bytes: np.unique runs once per degree sequence, not
-    once per matrix."""
+    degrees with these bytes, once per degree sequence, not once per matrix.
+    The levels come from a Python set, since np.unique would page numpy's
+    sort code into every run, and the index is the pairwise max of ranks."""
     grid = np.frombuffer(degrees)
-    levels, shell = np.unique(np.maximum.outer(grid, grid), return_inverse=True)
-    shell = shell.ravel()
+    levels = np.array(sorted(set(grid.tolist())))
+    rank = np.searchsorted(levels, grid)
+    shell = np.maximum.outer(rank, rank).ravel()
     levels.flags.writeable = shell.flags.writeable = False
     return levels, shell
 

@@ -18,14 +18,15 @@ several MB that a solve used to allocate and free went back to the operating
 system, and the next solve faulted them in again (about 1,450 page faults and
 3 ms of system time per 192-node solve).  Besides its complex matrix, whose
 floats hold K1's real and imaginary planes until the last step writes the
-sums, the kernel keeps three n x n float planes, and each Bessel value is
-mirrored from its triangle into a plane whose values are spent; the log
-weights R_|i-j| are a read-only circulant view of 2n floats.  The Bessel
-series' scratch is a kept array too: six triangle-sized rows that hold the
-four results and, while the series runs, each chunk of powers of q and of
-their coefficient-table product.  Far-field coefficients b_kl are
-projections of the far-field pattern on the circle Fourier basis; the
-closed-form disk series (Jacobi-Anger) is the accuracy oracle.
+sums, the kernel keeps three n x n float planes; the Bessel arguments and
+values pass between them and the upper triangle through one boolean mask.
+The log factor and the log weights R_|i-j| are read-only circulant views of
+2n floats each.  The Bessel series' scratch is a kept array too: six
+triangle-sized rows that hold the four results and, while the series runs,
+each chunk of powers of q and of their coefficient-table product.
+Far-field coefficients b_kl are projections of the far-field pattern on the
+circle Fourier basis; the closed-form disk series (Jacobi-Anger) is the
+accuracy oracle.
 """
 
 from __future__ import annotations
@@ -128,44 +129,36 @@ def _log_weights(n: int) -> np.ndarray:
 
 
 @functools.cache
-def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only tables of the node count alone: ln(4 sin^2((t_i - t_j)/2))
-    (0 on the diagonal) and the log weights R_|i-j|, both at [j, i] like the
-    transposed kernel of _kernel_matrices, the flat indices of the upper
-    triangle with its diagonal, and the triangle position of each (i, j) or
-    (j, i).  The weights are circulant: the table is a view of the 2n weights
-    R_0 .. R_(n-1), R_0 .. R_(n-1) that starts each row j at R_0 of the second
-    copy and steps back one per row, so [j, i] reads R_((i - j) mod n)."""
-    weights = _log_weights(n)
+def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of the node count alone, at [j, i] like the
+    transposed kernel of _kernel_matrices: the log factor ln(4 sin^2(t_d/2))
+    (0 at d = 0) and the log weights R_d at d = (i - j) mod n, and the mask
+    of the upper triangle with its diagonal.  The first two are circulant:
+    each is a view of its row written twice, 2n floats, that starts each
+    row j at d = 0 of the second copy and steps back one per row."""
     t = 2.0 * np.pi * np.arange(n) / n
-    log_fac = np.log(4.0 * np.sin(0.5 * (t[None, :] - t[:, None])) ** 2,
-                     where=~np.eye(n, dtype=bool), out=np.zeros((n, n)))
-    twice = np.concatenate([weights, weights])
-    twice.flags.writeable = False
-    step = twice.itemsize
-    circulant = np.ndarray((n, n), buffer=twice, offset=n * step, strides=(-step, step))
-    below = np.tri(n, k=-1, dtype=bool)
-    upper = np.flatnonzero(~below)
-    mirror = np.empty((n, n), dtype=np.intp)
-    mirror.flat[upper] = np.arange(upper.size)
-    np.copyto(mirror, mirror.T, where=below)
-    tables = (log_fac, circulant, upper, mirror)
-    for a in tables:
-        a.flags.writeable = False
-    return tables
+    log_row = np.log(4.0 * np.sin(0.5 * t) ** 2, where=t > 0.0, out=np.zeros(n))
+    rows = np.repeat([log_row, _log_weights(n)], 2, axis=0)
+    rows.flags.writeable = False
+    step = rows.itemsize
+    log_fac, weights = (np.ndarray((n, n), buffer=rows, offset=start * step, strides=(-step, step))
+                        for start in (n, 3 * n))
+    upper = ~np.tri(n, k=-1, dtype=bool)
+    upper.flags.writeable = False
+    return log_fac, weights, upper
 
 
-def _upper_jy01(r: np.ndarray, k: float):
+def _upper_jy01(r: np.ndarray, k: float, spent: np.ndarray):
     """special.jy01_kernel at k r on the upper triangle of the bitwise-symmetric
-    r, in _quadrature_tables' triangle order: taking each value at the mirror
-    table's position gives the full-grid call's values bit for bit, since the
-    series and asymptotic loops stop on the max over the same set of
-    arguments.  The arguments and the series' scratch are kept arrays."""
-    _, _, upper, _ = _quadrature_tables(r.shape[0])
-    # mode="clip" takes straight into out: the default mode buffers a copy
-    args = np.take(r, upper, out=kept_array("jy01_args", upper.shape), mode="clip")
-    args *= k
-    work = kept_array("jy01_work", (special.WORK_ROWS,) + upper.shape)
+    r, in C order: written through _quadrature_tables' mask and its transpose,
+    the values are the full-grid call's bit for bit, since the series and
+    asymptotic loops stop on the max over the same set of arguments.  The
+    arguments fill the front of the plane spent; the series' scratch is a
+    kept array."""
+    n = r.shape[0]
+    upper = _quadrature_tables(n)[2]
+    args = np.multiply(r[upper], k, out=spent.reshape(-1)[: n * (n + 1) // 2])
+    work = kept_array("jy01_work", (special.WORK_ROWS,) + args.shape)
     return special.jy01_kernel(args, work=work)
 
 
@@ -188,8 +181,9 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
     three kept float planes and the returned complex matrix: its 2 n^2 floats
     are two contiguous planes that hold K1's real and imaginary parts, and
     the last step writes K1 R + K2 2 pi/n into its real and imaginary views.
-    Each Bessel value is mirrored from its triangle into a plane just before
-    its products are formed, over a plane whose values are spent.  Every
+    The Bessel arguments are gathered into the third plane, and each value
+    is written through the triangle mask and its transpose just before its
+    products are formed, over a plane whose values are spent.  Every
     n x n array holds the transpose, entry (i, j) at [j, i], and quad.T is
     returned: a Fortran-ordered view, which LAPACK factors without a
     transposing copy.  All arrays, the returned matrix too, are this
@@ -197,7 +191,7 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
     them."""
     eta = k
     n = nodes.jac.size
-    log_fac, r_weights, _, mirror = _quadrature_tables(n)
+    log_fac, r_weights, upper = _quadrature_tables(n)
     r, nu_cos, third = kept_array("kernel_planes", (3, n, n))
     quad = kept_array("kernel", (n, n), complex)
     # quad's 2 n^2 floats hold K1's two planes until the last step
@@ -209,11 +203,12 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
     nu_cos /= r
     # r is bitwise symmetric: its entries come from negated coordinate differences
-    j0, j1, y0, y1 = _upper_jy01(r, k)
+    j0, j1, y0, y1 = _upper_jy01(r, k, third)
     jac_y = nodes.jac[:, None]  # |x'(y_j)|, down the rows of the transpose
 
     def full(value, out):
-        return np.take(value, mirror, out=out, mode="clip")
+        out[upper] = out.T[upper] = value  # left to right: the triangle, then its mirror
+        return out
 
     # K = (ik/4) H1(kr) (nu(y).(x-y)/r) |x'(y)| - i eta (i/4) H0(kr) |x'(y)|,
     # double layer minus i eta times single layer, with H = J + iY, and
@@ -273,11 +268,15 @@ class ScatteringSolution:
         k = self.k
         xhat = np.column_stack([np.cos(angles), np.sin(angles)])
         # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower
-        phase = np.exp(-1j * (k * xhat @ self.nodes.points.T))
-        nudot = xhat @ self.nodes.normals.T
+        phase = np.multiply(-1j, k * xhat @ self.nodes.points.T)
+        np.exp(phase, out=phase)
+        kernel = np.multiply(-1j * k, xhat @ self.nodes.normals.T)
+        kernel -= 1j * k
         front = np.exp(1j * math.pi / 4.0) / math.sqrt(8.0 * math.pi * k)
-        kernel = front * (-1j * k * nudot - 1j * k) * phase
-        return (kernel * self.nodes.weights[None, :]) @ self.densities
+        kernel *= front  # kernel is imaginary: either order of the product gives these bits
+        kernel *= phase
+        kernel *= self.nodes.weights
+        return kernel @ self.densities
 
     def scattered_at(self, points: np.ndarray, direction_index: int = 0) -> np.ndarray:
         """Scattered field at exterior points for one incident direction."""
@@ -310,7 +309,8 @@ def solve_scattering(shape: Shape, a: float, quad_nodes: int, direction_count: i
     omega = _direction_grid(direction_count)
     dirs = np.column_stack([np.cos(omega), np.sin(omega)])
     # real GEMM, then the phase: a complex GEMM first makes the exp about 15x slower
-    rhs = -np.exp(1j * (k * nodes.points @ dirs.T))
+    rhs = np.multiply(1j, k * nodes.points @ dirs.T)
+    np.negative(np.exp(rhs, out=rhs), out=rhs)
     densities = checked_solve(system, rhs, "combined-field")
     return ScatteringSolution(nodes, a, omega, densities)
 

@@ -473,6 +473,22 @@ class TestShellMaxima:
         fit_envelope(entries, self.DEGREES)
         assert _shells.cache_info().misses == misses
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        halves=st.lists(st.integers(0, 24), min_size=1, max_size=30),
+        repeats=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shells_match_np_unique(self, halves, repeats, seed):
+        # shuffled, repeated and half-integer degree sequences
+        degrees = np.repeat(np.array(halves) / 2.0, repeats)
+        np.random.default_rng(seed).shuffle(degrees)
+        levels, shell = _shells(degrees.tobytes())
+        want_levels, want_shell = np.unique(np.maximum.outer(degrees, degrees), return_inverse=True)
+        assert np.array_equal(levels.view(np.uint64), want_levels.view(np.uint64))
+        assert shell.dtype == want_shell.dtype and np.array_equal(shell, want_shell.ravel())
+        assert not levels.flags.writeable and not shell.flags.writeable
+
     def test_fit_envelope_drops_tiny_shells(self):
         entries, maxdeg = self.matrix(1)
         fit = fit_envelope(entries, self.DEGREES)

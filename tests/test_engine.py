@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from expinstab.conductivity import (
     dtn_numeric,
     fourier_degrees,
     ntd_from_dtn,
+    turn,
 )
 from expinstab.engine import (
     LEAD,
@@ -28,7 +30,7 @@ from expinstab.engine import (
     run_instability,
 )
 from expinstab.opnet import net_size_log_bound
-from expinstab.packing import build_packing
+from expinstab.packing import build_packing, class_eps0
 from expinstab.scattering import ObstacleProblem, farfield_numeric
 
 
@@ -453,3 +455,50 @@ class TestSolvedAgain:
         finally:
             tracemalloc.stop()
         assert peak < 60 * 65 * 65 * 8
+
+
+@functools.cache
+def eps_with_cells(problem, count):
+    """An eps whose packing family at the default sizes of problem has count
+    cells, by bisection: the cell count falls as eps grows."""
+    cls = ExperimentConfig(problem=problem).shape_class()
+    lo, hi = 1e-3, class_eps0(cls)
+    for _ in range(60):
+        eps = 0.5 * (lo + hi)
+        cells = build_packing(cls, eps).cell_count
+        if cells == count:
+            return eps
+        lo, hi = (eps, hi) if cells > count else (lo, eps)
+    raise AssertionError(f"no eps with {count} cells")
+
+
+class TestTurn:
+    """K divides the default profile grid (2048), node counts (512, 192) and
+    direction count (48) for every K that divides 16, so a one-bump shape
+    turned by one cell is the bump of the next cell on every lattice, and its
+    forward map is the turned map to round-off."""
+
+    @settings(max_examples=24, deadline=None)
+    @given(problem=st.sampled_from(["dtn", "ntd", "farfield"]),
+           count=st.sampled_from([4, 8, 16]), data=st.data())
+    def test_bump_turned_by_one_cell_is_next_cells_bump(self, problem, count, data):
+        cell = data.draw(st.integers(0, count - 1), label="cell")
+        cfg = ExperimentConfig(problem=problem)
+        forward = _make_forward(cfg)[0]
+        family = build_packing(cfg.shape_class(), eps_with_cells(problem, count))
+        here = forward(family.shape(1 << cell))[0]
+        there = forward(family.shape(1 << (cell + 1) % count))[0]
+        assert np.abs(turn(here, 2.0 * math.pi / count) - there).max() <= 1e-13 * np.abs(there).max()
+
+    def test_alternating_pair_distance_is_a_turn(self):
+        # dtn at K 16 (eps 0.0482): pattern B is pattern A turned by one cell
+        cfg = ExperimentConfig(problem="dtn")
+        forward, _, dist, _ = _make_forward(cfg)
+        family = build_packing(cfg.shape_class(), 0.0482)
+        assert family.cell_count == 16
+        pattern_a = sum(1 << c for c in range(0, 16, 2))
+        measure_a = forward(family.shape(pattern_a))[0]
+        solved = dist(measure_a, forward(family.shape(pattern_a << 1))[0])
+        turned = dist(measure_a, turn(measure_a, 2.0 * math.pi / 16))
+        assert solved == pytest.approx(3.5613e-4, rel=1e-4)
+        assert abs(solved - turned) <= 1e-13 * np.abs(measure_a).max()

@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath  # installed with sympy
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -229,11 +230,14 @@ def plain_geometry(nodes):
 
 def full_grid_kernel(nodes, k):
     """The combined-field kernel (coupling eta = k) as first written: Bessel
-    functions on the whole k*r grid, the log factor from the coordinate
-    differences and the log weights gathered per call."""
+    functions on the whole k*r grid, and the log factor and the log weights
+    gathered per call from their rows at (i - j) mod n.  The log factor's row
+    is the circulant table's first row, which is closer to the exact values
+    than the coordinate differences' table it replaced
+    (test_circulant_log_factor_is_within_3e_14_of_mpmath)."""
     eta = k
     n = nodes.jac.size
-    t = 2.0 * np.pi * np.arange(n) / n
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     r, nu_dot = plain_geometry(nodes)
     np.fill_diagonal(r, 1.0)
     j0, j1, y0, y1 = special.jy01_kernel(k * r)
@@ -244,10 +248,7 @@ def full_grid_kernel(nodes, k):
     ks1 = -(1.0 / (4.0 * math.pi)) * j0 * jac_row
     k1 = kd1 - 1j * eta * ks1
     k_full = kd - 1j * eta * ks
-    dcoord = t[:, None] - t[None, :]
-    log_fac = np.log(4.0 * np.sin(0.5 * dcoord) ** 2, where=~np.eye(n, dtype=bool),
-                     out=np.zeros((n, n)))
-    k2 = k_full - k1 * log_fac
+    k2 = k_full - k1 * _quadrature_tables(n)[0][0][idx]
     kd2_diag = -nodes.curvature * nodes.jac / (4.0 * math.pi)
     ks2_diag = (
         (1j / 4.0)
@@ -256,13 +257,13 @@ def full_grid_kernel(nodes, k):
     ) * nodes.jac
     np.fill_diagonal(k2, kd2_diag - 1j * eta * ks2_diag)
     np.fill_diagonal(k1, 1j * eta * nodes.jac / (4.0 * math.pi))
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return _log_weights(n)[idx] * k1 + (2.0 * np.pi / n) * k2
 
 
 class TestKernelBitIdentity:
-    """The mirrored Bessel grid, the cached quadrature tables and the real
-    phase arguments change no bit of the solver's arrays."""
+    """The mirrored Bessel grid, the cached quadrature tables, the real
+    phase arguments and the in-place builds change no bit of the solver's
+    arrays."""
 
     @staticmethod
     def bumpy_star():
@@ -277,11 +278,30 @@ class TestKernelBitIdentity:
         kernel = _kernel_matrices(nodes, k)
         assert kernel.flags.f_contiguous  # LAPACK factors it without a transposing copy
         assert np.array_equal(kernel, full_grid_kernel(nodes, k))
-        r, _ = plain_geometry(nodes)
+
+    @pytest.mark.parametrize("a", [1.0, 4.0])
+    def test_masked_gather_and_mirror_equal_index_tables(self, a):
+        # the triangle index and the mirror table that the mask replaced, built here
+        n, k = 192, math.sqrt(a)
+        below = np.tri(n, k=-1, dtype=bool)
+        upper = np.flatnonzero(~below)
+        mirror = np.empty((n, n), dtype=np.intp)
+        mirror.flat[upper] = np.arange(upper.size)
+        np.copyto(mirror, mirror.T, where=below)
+        r, _ = plain_geometry(shapes.boundary_nodes(self.bumpy_star().profile, n))
         np.fill_diagonal(r, 1.0)
-        mirror = _quadrature_tables(64)[3]
-        for ours, full in zip(_upper_jy01(r, k), special.jy01_kernel(k * r)):
-            assert np.array_equal(ours[mirror], full)
+        args = np.take(r, upper)
+        args *= k
+        spent = np.full((n, n), np.nan)
+        ours = [v.copy() for v in _upper_jy01(r, k, spent)]
+        assert np.array_equal(spent.ravel()[: upper.size].view(np.uint64), args.view(np.uint64))
+        mask = _quadrature_tables(n)[2]
+        plane = np.full((n, n), np.nan)
+        for value, by_index, full in zip(ours, special.jy01_kernel(args), special.jy01_kernel(k * r)):
+            assert np.array_equal(value.view(np.uint64), by_index.view(np.uint64))
+            plane[mask] = plane.T[mask] = value
+            assert np.array_equal(plane.view(np.uint64), np.take(value, mirror).view(np.uint64))
+            assert np.array_equal(plane, full)
 
     @pytest.mark.parametrize("a", [1.0, 4.0])
     def test_phases_equal_complex_gemm_form(self, a):
@@ -355,6 +375,20 @@ class TestKernelBitIdentity:
             tracemalloc.stop()
         assert peak < 0.5 * 4.5e6
 
+    def test_repeated_far_field_grid_builds_in_place(self):
+        # the factor and the phase are two complex grids at their product; with
+        # one real GEMM result and numpy's 8192-element cast buffer the in-place
+        # build peaks at about 3.4 grids, where the plain expression took 4.4
+        sol = solve_scattering(self.bumpy_star(), 4.0, 192, 48)
+        sol.far_field_grid()
+        tracemalloc.start()
+        try:
+            sol.far_field_grid()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * (48 * 192 * 16)
+
     def test_quadrature_tables_are_cached_and_read_only(self):
         tables = _quadrature_tables(64)
         assert _quadrature_tables(64) is tables
@@ -369,17 +403,43 @@ class TestKernelBitIdentity:
         n = 192
         nodes = shapes.boundary_nodes(self.bumpy_star().profile, n)
         _kernel_matrices(nodes, 2.0)
-        # this thread's kept float planes, read without making any
-        assert vars(conductivity._workspace)["kernel_planes"].size == 3 * n * n
-        _, r_weights, _, _ = _quadrature_tables(n)
-        assert r_weights.base.size == 2 * n
+        # this thread's kept arrays, read without making any: the Bessel
+        # arguments live in a spent plane, not in an array of their own
+        kept = vars(conductivity._workspace)
+        assert kept["kernel_planes"].size == 3 * n * n
+        assert "jy01_args" not in kept and kept["jy01_work"].shape[1:] == (n * (n + 1) // 2,)
+        log_fac, r_weights, upper = _quadrature_tables(n)
+        # 4n floats behind both circulant views, and n^2 bytes of mask
+        assert log_fac.base is r_weights.base and r_weights.base.size == 4 * n
         assert np.shares_memory(r_weights, r_weights.base)
         assert not r_weights.base.flags.writeable
+        assert upper.dtype == bool and upper.nbytes == n * n
+        assert np.array_equal(upper, np.triu(np.ones((n, n), dtype=bool)))
         idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
         assert np.array_equal(r_weights.view(np.uint64), _log_weights(n)[idx].view(np.uint64))
-        assert not r_weights.flags.writeable
-        with pytest.raises(ValueError):
-            r_weights[1, 0] = 0.0
+        t = 2.0 * np.pi * np.arange(n) / n
+        row = np.log(4.0 * np.sin(0.5 * t[1:]) ** 2)
+        assert np.array_equal(log_fac[0].view(np.uint64), np.concatenate([[0.0], row]).view(np.uint64))
+        assert np.array_equal(log_fac.view(np.uint64), log_fac[0][idx].view(np.uint64))
+        for table in (log_fac, r_weights):
+            with pytest.raises(ValueError):
+                table.flags.writeable = True
+
+    def test_circulant_log_factor_is_within_3e_14_of_mpmath(self):
+        # ln(4 sin^2(pi d / n)) to 40 digits, against the circulant table and
+        # the table of coordinate differences t_i - t_j that it replaced
+        n = 192
+        with mpmath.workdps(40):
+            exact = np.array([0.0] + [float(mpmath.log(4 * mpmath.sin(mpmath.pi * d / n) ** 2))
+                                      for d in range(1, n)])
+        idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        t = 2.0 * np.pi * np.arange(n) / n
+        coordinate = np.log(4.0 * np.sin(0.5 * (t[None, :] - t[:, None])) ** 2,
+                            where=~np.eye(n, dtype=bool), out=np.zeros((n, n)))
+        circulant_error = np.abs(_quadrature_tables(n)[0] - exact[idx]).max()
+        coordinate_error = np.abs(coordinate - exact[idx]).max()
+        assert circulant_error <= 3e-14
+        assert circulant_error <= coordinate_error
 
     def test_projection_reads_one_cached_trace_table(self, monkeypatch):
         calls = []
