@@ -58,7 +58,7 @@ def checked_solve(system: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
         raise SolverError(f"{name} system singular: {exc}") from exc
     r = system @ x
     r -= rhs
-    residual = np.max(np.abs(r))
+    residual = np.max(np.abs(r) if np.iscomplexobj(r) else np.abs(r, out=r))
     if not np.isfinite(residual) or residual > 1e-8:
         raise SolverError(f"{name} solve residual {residual:.2e}")
     return x
@@ -197,8 +197,9 @@ def _mode_traces(nodes: BoundaryNodes, n_max: int):
     of the constant 1/sqrt(2 pi); by Cauchy-Riemann the normal derivative of
     Re/Im z^j is Re/Im (j nu z^(j-1)) with nu = nu_x + i nu_y.  Columns follow
     fourier_degrees ordering: columns 2j-1 and 2j are the real and imaginary
-    parts of one complex column, so the products are written in place through
-    a complex view.
+    parts of one complex column.  The products go into one contiguous complex
+    array and from there into the float columns: a complex view of those
+    columns starts 8 bytes into a row, so numpy would buffer every ufunc on it.
     """
     n_pts = nodes.weights.size
     powers = np.ones((n_pts, n_max + 1), dtype=complex)  # z^0 ... z^n_max
@@ -210,11 +211,11 @@ def _mode_traces(nodes: BoundaryNodes, n_max: int):
     d_normal = np.empty((n_pts, 2 * n_max + 1))
     values[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
     d_normal[:, 0] = 0.0
-    np.multiply(powers[:, 1:], inv_sqrt_pi, out=values[:, 1:].view(complex))
-    slopes = np.multiply(
-        powers[:, :-1], np.arange(1, n_max + 1) * inv_sqrt_pi, out=d_normal[:, 1:].view(complex)
-    )
-    slopes *= nu[:, None]
+    product = np.multiply(powers[:, 1:], inv_sqrt_pi)
+    values[:, 1::2], values[:, 2::2] = product.real, product.imag
+    np.multiply(powers[:, :-1], np.arange(1, n_max + 1) * inv_sqrt_pi, out=product)
+    product *= nu[:, None]
+    d_normal[:, 1::2], d_normal[:, 2::2] = product.real, product.imag
     return values, d_normal
 
 

@@ -226,8 +226,9 @@ def _make_forward(cfg: ExperimentConfig):
         return float(max(np.linalg.norm(d.ravel()) for d in m1 - m2))
 
     def lower_bound(diffs: np.ndarray) -> np.ndarray:
-        # the same sup, summed in another order
-        return np.linalg.norm(diffs, axis=(2, 3)).max(axis=1)
+        # the same sup, summed in another order by ufuncs the run pages anyway:
+        # np.linalg.norm over an axis pair pages about 0.5 MB of numpy code
+        return np.sqrt(np.square(diffs.view(float)).sum(axis=(2, 3)).max(axis=1))
 
     return forward, degrees, dist, lower_bound
 
@@ -270,9 +271,10 @@ class InstabilityReport:
 
 def _pair_bounds(stack: np.ndarray, lower_bound) -> np.ndarray:
     """``lower_bound`` of every difference ``stack[j] - stack[i]``, i < j, in
-    ``np.triu_indices`` order.  At most ROWS differences exist at a time;
-    each bound reduces within its own difference, so the values are those of
-    one pass over all of a row's differences."""
+    the row order of the upper triangle (``np.triu_indices``'s).  At most
+    ROWS differences exist at a time; each bound reduces within its own
+    difference, so the values are those of one pass over all of a row's
+    differences."""
     count = len(stack)
     return np.concatenate([
         lower_bound(stack[s : s + ROWS] - stack[i])
@@ -295,13 +297,18 @@ def _min_norm_pair(blocks: np.ndarray, dist, lower_bound, exact=None) -> tuple[i
     distance, shrunk alike, can too; so the result is the exhaustive
     search's over the full measurements.
     """
-    rows, cols = np.triu_indices(len(blocks), 1)
+    # pair k is (i, j) with starts[i] <= k < starts[i + 1]: row i of the upper
+    # triangle holds count - 1 - i pairs, after those of the rows above it
+    count = len(blocks)
+    row = np.arange(count)
+    starts = row * count - row * (row + 1) // 2
     bounds = _pair_bounds(blocks, lower_bound)
     best = (math.inf, 0, 1)
     for k in np.argsort(bounds, kind="stable"):
         if bounds[k] * (1.0 - BOUND_SLACK) > best[0]:
             break
-        i, j = int(rows[k]), int(cols[k])
+        i = int(np.searchsorted(starts, k, "right")) - 1
+        j = int(k - starts[i]) + i + 1
         d = dist(blocks[i], blocks[j])
         if exact is not None:
             if d * (1.0 - BOUND_SLACK) > best[0]:

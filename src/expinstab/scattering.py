@@ -19,11 +19,11 @@ system, and the next solve faulted them in again (about 1,450 page faults and
 3 ms of system time per 192-node solve).  Besides its complex matrix, whose
 floats hold K1's real and imaginary planes until the last step writes the
 sums, the kernel keeps three n x n float planes; the Bessel arguments and
-values pass between them and the upper triangle through one boolean mask.
-The log factor and the log weights R_|i-j| are read-only circulant views of
-2n floats each.  The Bessel series' scratch is a kept array too: six
-triangle-sized rows that hold the four results and, while the series runs,
-each chunk of powers of q and of their coefficient-table product.
+values pass between them and the strict upper triangle through one boolean
+mask.  The log factor and the log weights R_|i-j| are read-only circulant
+views of 2n floats each.  The Bessel functions need no array of their own:
+their four values wait in the complex matrix's floats before K1 is formed,
+and the series runs in a plane whose distances are spent.
 Far-field coefficients b_kl are projections of the far-field pattern on the
 circle Fourier basis; the closed-form disk series (Jacobi-Anger) is the
 accuracy oracle.
@@ -133,9 +133,9 @@ def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables of the node count alone, at [j, i] like the
     transposed kernel of _kernel_matrices: the log factor ln(4 sin^2(t_d/2))
     (0 at d = 0) and the log weights R_d at d = (i - j) mod n, and the mask
-    of the upper triangle with its diagonal.  The first two are circulant:
-    each is a view of its row written twice, 2n floats, that starts each
-    row j at d = 0 of the second copy and steps back one per row."""
+    of the strict upper triangle.  The first two are circulant: each is a
+    view of its row written twice, 2n floats, that starts each row j at
+    d = 0 of the second copy and steps back one per row."""
     t = 2.0 * np.pi * np.arange(n) / n
     log_row = np.log(4.0 * np.sin(0.5 * t) ** 2, where=t > 0.0, out=np.zeros(n))
     rows = np.repeat([log_row, _log_weights(n)], 2, axis=0)
@@ -143,23 +143,34 @@ def _quadrature_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     step = rows.itemsize
     log_fac, weights = (np.ndarray((n, n), buffer=rows, offset=start * step, strides=(-step, step))
                         for start in (n, 3 * n))
-    upper = ~np.tri(n, k=-1, dtype=bool)
+    upper = ~np.tri(n, dtype=bool)
     upper.flags.writeable = False
     return log_fac, weights, upper
 
 
-def _upper_jy01(r: np.ndarray, k: float, spent: np.ndarray):
-    """special.jy01_kernel at k r on the upper triangle of the bitwise-symmetric
-    r, in C order: written through _quadrature_tables' mask and its transpose,
-    the values are the full-grid call's bit for bit, since the series and
-    asymptotic loops stop on the max over the same set of arguments.  The
-    arguments fill the front of the plane spent; the series' scratch is a
-    kept array."""
+def _upper_jy01(r: np.ndarray, k: float, spent: np.ndarray, values: np.ndarray):
+    """special.jy01_kernel at k r on the strict upper triangle of the
+    bitwise-symmetric r, in C order.  Written through _quadrature_tables' mask
+    and its transpose, the values are the full-grid call's bit for bit when
+    some node distance is at least 1, the full grid's diagonal placeholder:
+    the series and asymptotic loops then stop on the same largest argument.
+    The arguments fill the front of the plane spent,
+    gathered in two row blocks so that no transient holds the triangle.  The
+    four values go into the complex matrix values, whose 2 n^2 floats are
+    read as two planes: J1 and Y1 fill the front of the first, J0 and Y0 of
+    the second.  The series runs in r, which is spent once the arguments are
+    gathered."""
     n = r.shape[0]
     upper = _quadrature_tables(n)[2]
-    args = np.multiply(r[upper], k, out=spent.reshape(-1)[: n * (n + 1) // 2])
-    work = kept_array("jy01_work", (special.WORK_ROWS,) + args.shape)
-    return special.jy01_kernel(args, work=work)
+    m = n * (n - 1) // 2
+    args = spent.reshape(-1)[:m]
+    cut = n // 4
+    split = cut * (2 * n - 1 - cut) // 2  # the first cut rows hold about 44% of the triangle
+    np.multiply(r[:cut][upper[:cut]], k, out=args[:split])
+    np.multiply(r[cut:][upper[cut:]], k, out=args[split:])
+    re, im = values.view(float).reshape(2, n * n)
+    out = im[:m], re[:m], im[m:2 * m], re[m:2 * m]
+    return special.jy01_kernel(args, work=r.reshape(-1), out=out)
 
 
 def _product(out: np.ndarray, first, *factors) -> np.ndarray:
@@ -179,11 +190,13 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
     factor, so their real and imaginary planes are computed apart in float64,
     bit for bit the complex form's products and sums.  The work fits in
     three kept float planes and the returned complex matrix: its 2 n^2 floats
-    are two contiguous planes that hold K1's real and imaginary parts, and
-    the last step writes K1 R + K2 2 pi/n into its real and imaginary views.
-    The Bessel arguments are gathered into the third plane, and each value
-    is written through the triangle mask and its transpose just before its
-    products are formed, over a plane whose values are spent.  Every
+    are two contiguous planes that first hold the four Bessel values on the
+    strict upper triangle (_upper_jy01), then K1's real and imaginary parts,
+    and the last step writes K1 R + K2 2 pi/n into its real and imaginary
+    views.  The Bessel arguments are gathered into the third plane, and each
+    value is written through the triangle mask and its transpose, over a
+    plane whose values are spent, before the K1 plane that holds it is
+    written; the diagonals are set analytically.  Every
     n x n array holds the transpose, entry (i, j) at [j, i], and quad.T is
     returned: a Fortran-ordered view, which LAPACK factors without a
     transposing copy.  All arrays, the returned matrix too, are this
@@ -203,20 +216,22 @@ def _kernel_matrices(nodes: BoundaryNodes, k: float):
     np.fill_diagonal(r, 1.0)  # placeholder, diagonals set analytically
     nu_cos /= r
     # r is bitwise symmetric: its entries come from negated coordinate differences
-    j0, j1, y0, y1 = _upper_jy01(r, k, third)
+    # the values fill the front of K1's planes, and the series runs in r
+    j0, j1, y0, y1 = _upper_jy01(r, k, third, quad)
     jac_y = nodes.jac[:, None]  # |x'(y_j)|, down the rows of the transpose
 
     def full(value, out):
         out[upper] = out.T[upper] = value  # left to right: the triangle, then its mirror
+        np.fill_diagonal(out, 0.0)  # no stale diagonal reaches a product; each is set below
         return out
 
     # K = (ik/4) H1(kr) (nu(y).(x-y)/r) |x'(y)| - i eta (i/4) H0(kr) |x'(y)|,
     # double layer minus i eta times single layer, with H = J + iY, and
     # K1 = -(k/4pi) J1(kr) (...) |x'| - i eta (-(1/4pi) J0(kr) |x'|)
     j1 = full(j1, third)
+    y1 = full(y1, r)  # J1 and Y1 are out of K1's real plane before it is written
     _product(k1_re, -(k / (4.0 * math.pi)), j1, nu_cos, jac_y)
     k2_im = _product(j1, k / 4.0, j1, nu_cos, jac_y)
-    y1 = full(y1, r)
     k2_re = _product(y1, -(k / 4.0), y1, nu_cos, jac_y)
     term = full(y0, nu_cos)
     k2_im += _product(term, 0.25, term, jac_y, eta)

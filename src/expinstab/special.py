@@ -11,7 +11,10 @@ The power series of J0, J1, Y0 and Y1 are one matrix product: a read-only
 cache-sized column chunks, with as many powers as the batch's largest
 argument needs.  A value's bits depend on its own argument and that number
 of powers alone, not on its place in the batch.  Against scipy, relative to
-|H_n|, the series is within 1e-14 on x <= 5 and 2e-11 on x < 13.
+|H_n|, the series is within 1e-14 on x <= 5 and 2e-11 on x < 13.  A caller
+may hand jy01_kernel the four result arrays and a flat scratch of two
+arrays' worth of floats, so that the call allocates nothing of the batch's
+size.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ EULER_GAMMA = 0.577215664901532860606512090082
 
 _SERIES_SPLIT = 13.0
 _X_MAX = 200.0
-WORK_ROWS = 6  # arrays of the argument's shape that the power series works in
 _SERIES_TERMS = 60  # powers q^0 .. q^59 at most
 _BLOCK = 1 << 17  # floats of one chunk's powers of q and sums, at most: 1 MB
 _PAD = 32  # a chunk's column count is a multiple of this
@@ -67,7 +69,7 @@ def _series_degree(q_max: float) -> int:
     return int(small[0]) + 2 if small.size else _SERIES_TERMS
 
 
-def _jy01_series(x: np.ndarray, work: np.ndarray | None = None):
+def _jy01_series(x: np.ndarray, work: np.ndarray | None = None, out=None):
     """J0, J1, Y0, Y1 from their power series in q = x^2/4.
 
     The four sums J0, 2 J1/x, s0 and s1 (see _series_table) are one matrix
@@ -78,18 +80,22 @@ def _jy01_series(x: np.ndarray, work: np.ndarray | None = None):
     lg = ln(x/2) + gamma, Y0 = (2/pi) (lg J0 + s0) and
     Y1 = (2/pi) lg J1 - 2/(pi x) - (x/(2 pi)) s1.
 
-    Every intermediate lives in work, WORK_ROWS C-ordered arrays of x's shape
-    (made here when not given), and the four results are rows of it: while
-    the sums fill rows 0-3, rows 4-5 hold the chunk in hand.
+    The sums go into out, four C-ordered arrays of x's shape, and every other
+    intermediate lives in work, a flat array of at least 2 x.size floats:
+    first the chunk in hand, then lg and one term.  Either is made here when
+    not given.
     """
+    size = x.size
+    if out is None:
+        out = np.empty((4,) + x.shape)
     if work is None:
-        work = np.empty((WORK_ROWS,) + x.shape)
-    flat = work.reshape(WORK_ROWS, -1)
+        work = np.empty(2 * size)
+    rows = [value.reshape(-1) for value in out]
     xs = x.reshape(-1)
     x_max = float(np.max(xs))
     degree = _series_degree(0.25 * x_max * x_max)
     table = _series_table()[:, :degree]
-    spare = flat[4:].reshape(-1)
+    spare = work[: 2 * size]
     width = min(spare.size, _BLOCK) // (4 + degree) // _PAD * _PAD
     if width == 0:  # too few arguments to hold one padded chunk
         width = _PAD
@@ -97,7 +103,7 @@ def _jy01_series(x: np.ndarray, work: np.ndarray | None = None):
     # a chunk's four sums, then its powers, one column per argument
     block = spare[:(4 + degree) * width].reshape(4 + degree, width)
     block[4] = 1.0  # q^0, for every chunk
-    for start in range(0, xs.size, width):
+    for start in range(0, size, width):
         chunk = xs[start:start + width]
         # BLAS sums every column of full kernel tiles in one order: pad to them
         padded = -(-chunk.size // _PAD) * _PAD
@@ -112,8 +118,10 @@ def _jy01_series(x: np.ndarray, work: np.ndarray | None = None):
             np.multiply(p[1:top - filled], p[filled], out=p[filled + 1:top])
             filled = top
         np.matmul(table, p, out=sums)
-        flat[:4, start:start + chunk.size] = sums[:, :chunk.size]
-    j0, j1, y0, y1, lg, term = work
+        for row, value in zip(rows, sums):
+            row[start:start + chunk.size] = value[:chunk.size]
+    j0, j1, y0, y1 = out
+    lg, term = work[: 2 * size].reshape((2,) + x.shape)
     # j1 holds 2 J1/x, y0 the sum s0 and y1 the sum s1
     j1 *= np.multiply(0.5, x, out=term)
     np.log(term, out=lg)
@@ -165,18 +173,18 @@ def _jy01_asymptotic(x: np.ndarray):
     return j0, j1, y0, y1
 
 
-def _jy01(x: np.ndarray, work: np.ndarray | None = None):
-    """J0, J1, Y0, Y1 on positive arguments, series below 13, asymptotic above.
+def _jy01(x: np.ndarray, work: np.ndarray | None = None, out=None):
+    """J0, J1, Y0, Y1 on positive arguments, series below 13, asymptotic above,
+    written into out when given.
 
     When every argument takes the series, it runs in work (see _jy01_series)."""
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_SPLIT
     if x.size and np.all(small):
-        return _jy01_series(x, work)
-    j0 = np.empty_like(x)
-    j1 = np.empty_like(x)
-    y0 = np.empty_like(x)
-    y1 = np.empty_like(x)
+        return _jy01_series(x, work, out)
+    if out is None:
+        out = [np.empty_like(x) for _ in range(4)]
+    j0, j1, y0, y1 = out
     if np.any(small):
         j0[small], j1[small], y0[small], y1[small] = _jy01_series(x[small])
     if np.any(~small):
@@ -245,13 +253,17 @@ def hankel1_sequence(n_max: int, x) -> np.ndarray:
     return bessel_j_sequence(n_max, x) + 1j * bessel_y_sequence(n_max, x)
 
 
-def jy01_kernel(x: np.ndarray, *, work: np.ndarray | None = None):
+def jy01_kernel(x: np.ndarray, *, work: np.ndarray | None = None, out=None):
     """Fast vectorized (J0, J1, Y0, Y1) for boundary-integral kernels.
 
     A caller that evaluates one shape of arguments again and again passes
-    work, WORK_ROWS C-ordered arrays of x's shape that it keeps: when every
-    argument is below 13 the series runs in it and the results are rows of
-    it, so the call allocates no float array of x's size."""
+    out, four C-ordered arrays of x's shape, and work, a flat array of at
+    least 2 x.size floats, both of which it keeps: the values are written
+    into out (asymptotic ones too), and when every argument is below 13 the
+    series runs in work, so the call allocates no float array of x's size.
+    Neither may share memory with x or with each other."""
     x = np.asarray(x, dtype=float)
     _check_x(x)
-    return _jy01(x, work)
+    if out is not None and not all(v.shape == x.shape and v.flags.c_contiguous for v in out):
+        raise ValueError("out must be four C-ordered arrays of the arguments' shape")
+    return _jy01(x, work, out)

@@ -451,13 +451,21 @@ def test_runs_reach_no_eigen_or_least_squares_driver(tmp_path):
     # the run path calls LAPACK only for dense solves and for the SVDs behind
     # the 2-norm and cond: bump maxima come by bisection and line fits in
     # closed form, so dgeev and dgelsd are never paged in; the envelope
-    # shells come from a Python set, so np.unique's sort code is not either
+    # shells come from a Python set, so np.unique's sort code is not either,
+    # and the far-field pair bound sums squares, so np.linalg.norm runs over
+    # no axis pair (the dtn 2-norm and the far-field distance still call it)
     code = (
         "import sys\n"
         "import numpy as np\n"
         "def refuse(*args, **kwargs):\n"
         "    raise AssertionError('reached an eigen or least-squares driver or np.unique')\n"
         "np.linalg.eigvals = np.linalg.lstsq = np.polyfit = np.unique = refuse\n"
+        "norm = np.linalg.norm\n"
+        "def vector_or_2_norm(x, ord=None, axis=None, keepdims=False):\n"
+        "    if isinstance(axis, tuple):\n"
+        "        raise AssertionError('np.linalg.norm over an axis pair')\n"
+        "    return norm(x, ord, axis, keepdims)\n"
+        "np.linalg.norm = vector_or_2_norm\n"
         "from expinstab import cli, shapes\n"
         "out = sys.argv[1]\n"
         "tiny = ['--eps-list', '0.1,0.05', '--budget', '4', '--n-max', '4', '--quad-nodes', '64',\n"

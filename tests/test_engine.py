@@ -344,6 +344,32 @@ class TestPrunedPairSearch:
         assert _min_norm_pair(stack, dist, lower_bound) == (0, 1, 2.0)
 
 
+class TestFarFieldPairBound:
+    """The far-field bound sums the squares of the differences' float view,
+    not np.linalg.norm over an axis pair: the same sup up to rounding, and
+    never above the distance it prunes against."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, ROWS),
+        waves=st.integers(1, 3),
+        size=st.integers(1, 13),
+        scale=st.sampled_from([1e-12, 1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_frobenius_norms_and_stays_below_distance(self, rows, waves, size, scale, seed):
+        _, _, dist, lower_bound = _make_forward(ExperimentConfig(problem="farfield"))
+        rng = np.random.default_rng(seed)
+        shape = (rows + 1, waves, size, size)
+        stack = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        diffs = stack[1:] - stack[0]
+        got = lower_bound(diffs)
+        want = np.linalg.norm(diffs, axis=(2, 3)).max(axis=1)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        for row, bound in enumerate(got):
+            assert bound <= dist(stack[row + 1], stack[0]) * (1.0 + 1e-12)
+
+
 class TestChunkedBounds:
     """The pair bounds are taken ROWS measurements at a time, bit for bit
     those of one pass over each row's differences, on stacks of the forward

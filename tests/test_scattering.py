@@ -281,11 +281,13 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("a", [1.0, 4.0])
     def test_masked_gather_and_mirror_equal_index_tables(self, a):
-        # the triangle index and the mirror table that the mask replaced, built here
+        # the index of the strict upper triangle and the mirror table that the
+        # mask replaced, built here; the diagonal is left to the analytic limits
         n, k = 192, math.sqrt(a)
-        below = np.tri(n, k=-1, dtype=bool)
+        m = n * (n - 1) // 2
+        below = np.tri(n, dtype=bool)
         upper = np.flatnonzero(~below)
-        mirror = np.empty((n, n), dtype=np.intp)
+        mirror = np.zeros((n, n), dtype=np.intp)
         mirror.flat[upper] = np.arange(upper.size)
         np.copyto(mirror, mirror.T, where=below)
         r, _ = plain_geometry(shapes.boundary_nodes(self.bumpy_star().profile, n))
@@ -293,15 +295,25 @@ class TestKernelBitIdentity:
         args = np.take(r, upper)
         args *= k
         spent = np.full((n, n), np.nan)
-        ours = [v.copy() for v in _upper_jy01(r, k, spent)]
-        assert np.array_equal(spent.ravel()[: upper.size].view(np.uint64), args.view(np.uint64))
+        values = np.full((n, n), np.nan, dtype=complex)
+        ours = _upper_jy01(r.copy(), k, spent, values)  # the series runs in the copy
+        assert np.array_equal(spent.ravel()[:m].view(np.uint64), args.view(np.uint64))
+        # J1 and Y1 at the front of the first float plane, J0 and Y0 of the second
+        re, im = values.view(float).reshape(2, n * n)
+        for value, place in zip(ours, (im[:m], re[:m], im[m:2 * m], re[m:2 * m])):
+            assert np.shares_memory(value, place) and np.array_equal(value, place)
+        ours = [v.copy() for v in ours]
         mask = _quadrature_tables(n)[2]
-        plane = np.full((n, n), np.nan)
+        off = ~np.eye(n, dtype=bool)
         for value, by_index, full in zip(ours, special.jy01_kernel(args), special.jy01_kernel(k * r)):
             assert np.array_equal(value.view(np.uint64), by_index.view(np.uint64))
+            plane = np.full((n, n), np.nan)
             plane[mask] = plane.T[mask] = value
-            assert np.array_equal(plane.view(np.uint64), np.take(value, mirror).view(np.uint64))
-            assert np.array_equal(plane, full)
+            np.fill_diagonal(plane, 0.0)
+            mirrored = np.take(value, mirror)
+            np.fill_diagonal(mirrored, 0.0)
+            assert np.array_equal(plane.view(np.uint64), mirrored.view(np.uint64))
+            assert np.array_equal(plane[off].view(np.uint64), full[off].view(np.uint64))
 
     @pytest.mark.parametrize("a", [1.0, 4.0])
     def test_phases_equal_complex_gemm_form(self, a):
@@ -375,6 +387,23 @@ class TestKernelBitIdentity:
             tracemalloc.stop()
         assert peak < 0.5 * 4.5e6
 
+    def test_repeated_kernel_allocates_no_triangle(self):
+        # the Bessel values and the series' scratch live in the kernel's kept
+        # arrays, and the arguments are gathered in two row blocks: a repeated
+        # 192-node build allocates less than one triangle of floats (about
+        # 132 kB, mostly numpy's ufunc buffers in the series' power products)
+        n = 192
+        nodes = shapes.boundary_nodes(self.bumpy_star().profile, n)
+        for k in (1.0, 2.0):
+            _kernel_matrices(nodes, k)
+            tracemalloc.start()
+            try:
+                _kernel_matrices(nodes, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * (n - 1) // 2
+
     def test_repeated_far_field_grid_builds_in_place(self):
         # the factor and the phase are two complex grids at their product; with
         # one real GEMM result and numpy's 8192-element cast buffer the in-place
@@ -407,14 +436,16 @@ class TestKernelBitIdentity:
         # arguments live in a spent plane, not in an array of their own
         kept = vars(conductivity._workspace)
         assert kept["kernel_planes"].size == 3 * n * n
-        assert "jy01_args" not in kept and kept["jy01_work"].shape[1:] == (n * (n + 1) // 2,)
+        # and so do the Bessel values and the series' scratch: they use the
+        # kernel's complex matrix and the spent distance plane
+        assert "jy01_args" not in kept and "jy01_work" not in kept
         log_fac, r_weights, upper = _quadrature_tables(n)
         # 4n floats behind both circulant views, and n^2 bytes of mask
         assert log_fac.base is r_weights.base and r_weights.base.size == 4 * n
         assert np.shares_memory(r_weights, r_weights.base)
         assert not r_weights.base.flags.writeable
         assert upper.dtype == bool and upper.nbytes == n * n
-        assert np.array_equal(upper, np.triu(np.ones((n, n), dtype=bool)))
+        assert np.array_equal(upper, np.triu(np.ones((n, n), dtype=bool), k=1))
         idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
         assert np.array_equal(r_weights.view(np.uint64), _log_weights(n)[idx].view(np.uint64))
         t = 2.0 * np.pi * np.arange(n) / n

@@ -196,8 +196,9 @@ class TestSharedTermSeries:
         assert_accurate(x, bound)
 
     def test_kept_scratch_equals_allocating_form(self):
-        # the series runs in the caller's scratch, results included; what a
-        # previous call left there reaches no bit of the next call's values
+        # the series runs in the caller's scratch and writes the caller's
+        # result arrays; what a previous call left in either reaches no bit of
+        # the next call's values
         batches = [farfield_arguments(a) for a in (1.0, 4.0)] + [
             np.geomspace(1e-10, 12.999, 3000),
             np.linspace(0.01, 5.0, 1000),
@@ -208,15 +209,44 @@ class TestSharedTermSeries:
             np.array([11.192766147583392]),
         ]
         for x in batches:
-            work = np.full((special.WORK_ROWS,) + x.shape, np.nan)
-            kept = special._jy01_series(x, work)
-            assert all(np.shares_memory(value, work) for value in kept)
+            work = np.full(2 * x.size, np.nan)
+            out = list(np.full((4,) + x.shape, np.nan))
+            kept = special._jy01_series(x, work, out)
+            assert all(value is row for value, row in zip(kept, out))
             assert_same_bits(kept, special._jy01_series(x))
-            assert_same_bits(special.jy01_kernel(x, work=work), special.jy01_kernel(x))
-        # arguments past the series split take the asymptotic branch, without the scratch
+            assert_same_bits(special.jy01_kernel(x, work=work, out=out), special.jy01_kernel(x))
+        # arguments past the series split take the asymptotic branch, which
+        # writes its values into out too
         x = np.array([4.0, 20.0, 1e-3])
-        assert_same_bits(special.jy01_kernel(x, work=np.empty((special.WORK_ROWS, 3))),
-                         special.jy01_kernel(x))
+        out = list(np.full((4, 3), np.nan))
+        got = special.jy01_kernel(x, work=np.empty(6), out=out)
+        assert all(value is row for value, row in zip(got, out))
+        assert_same_bits(got, special.jy01_kernel(x))
+        with pytest.raises(ValueError, match="C-ordered"):
+            special.jy01_kernel(x, out=list(np.empty((4, 6))[:, ::2]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(1e-9, 60.0), min_size=1, max_size=80),
+        st.lists(st.integers(0, 9), min_size=4, max_size=4),
+        st.permutations(range(4)),
+        st.integers(0, 40),
+    )
+    def test_caller_arrays_equal_allocating_form(self, values, gaps, order, spare):
+        # the four results in non-adjacent, reordered views of one buffer and
+        # a scratch of 2 x.size floats or more, below one padded chunk of 32
+        # arguments and past it, through the series and the asymptotic branch
+        x = np.array(values)
+        buffer = np.full(4 * x.size + sum(gaps), np.nan)
+        out, start = [None] * 4, 0
+        for slot, gap in zip(order, gaps):
+            start += gap
+            out[slot] = buffer[start:start + x.size]
+            start += x.size
+        work = np.full(2 * x.size + spare, np.nan)
+        got = special.jy01_kernel(x, work=work, out=out)
+        assert all(value is row for value, row in zip(got, out))
+        assert_same_bits(got, special.jy01_kernel(x))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(1e-9, 12.999), min_size=1, max_size=50))
